@@ -20,9 +20,8 @@ from collections.abc import Callable
 import numpy as np
 from scipy import sparse
 
-from repro.exceptions import ConfigurationError, ConvergenceError, DataValidationError
-from repro.linalg.iterative import IterativeResult
-from repro.utils.validation import check_vector
+from repro.exceptions import ConfigurationError, DataValidationError
+from repro.linalg.iterative import IterativeResult, _prepare, _sor_impl, pcg
 
 __all__ = ["sor", "preconditioned_conjugate_gradient", "jacobi_preconditioner"]
 
@@ -45,49 +44,7 @@ def sor(
     """
     if not 0.0 < omega < 2.0:
         raise ConfigurationError(f"omega must be in (0, 2), got {omega}")
-    dense = np.asarray(matrix.todense()) if sparse.issparse(matrix) else np.asarray(matrix, dtype=np.float64)
-    if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-        raise DataValidationError(f"matrix must be square 2-d, got shape {dense.shape}")
-    n = dense.shape[0]
-    diag = np.diagonal(dense).copy()
-    if n and np.any(diag == 0):
-        raise DataValidationError("sor requires a zero-free diagonal")
-    rhs = check_vector(rhs, "rhs", min_length=0)
-    if rhs.shape[0] != n:
-        raise DataValidationError(f"rhs length {rhs.shape[0]} does not match matrix size {n}")
-    x = np.zeros(n) if x0 is None else check_vector(x0, "x0", min_length=0).copy()
-    if x.shape[0] != n:
-        raise DataValidationError(f"x0 length {x.shape[0]} does not match matrix size {n}")
-
-    # x_new = (D + omega L)^{-1} (omega b - (omega U + (omega - 1) D) x)
-    # implemented via a triangular solve per sweep.
-    from scipy.linalg import solve_triangular
-
-    strict_lower = np.tril(dense, k=-1)
-    strict_upper = np.triu(dense, k=1)
-    sweep_matrix = np.diag(diag) + omega * strict_lower
-    norm = float(np.linalg.norm(rhs))
-    scale = norm if norm > 0 else 1.0
-    residuals: list[float] = []
-    for iteration in range(1, max_iter + 1):
-        residual = rhs - dense @ x
-        res_norm = float(np.linalg.norm(residual))
-        residuals.append(res_norm)
-        if res_norm <= tol * scale:
-            return IterativeResult(x, iteration - 1, tuple(residuals), True)
-        target = omega * rhs - (omega * strict_upper + (omega - 1.0) * np.diag(diag)) @ x
-        x = solve_triangular(sweep_matrix, target, lower=True)
-    residual = rhs - dense @ x
-    res_norm = float(np.linalg.norm(residual))
-    residuals.append(res_norm)
-    if res_norm <= tol * scale:
-        return IterativeResult(x, max_iter, tuple(residuals), True)
-    raise ConvergenceError(
-        f"sor(omega={omega}) did not converge in {max_iter} iterations "
-        f"(relative residual {res_norm / scale:.3e} > tol {tol:.1e})",
-        iterations=max_iter,
-        residual=res_norm,
-    )
+    return _sor_impl(matrix, rhs, omega=omega, x0=x0, tol=tol, max_iter=max_iter, name="sor")
 
 
 def jacobi_preconditioner(matrix) -> Callable[[np.ndarray], np.ndarray]:
@@ -115,64 +72,12 @@ def preconditioned_conjugate_gradient(
     """Conjugate gradients with an SPD preconditioner.
 
     ``preconditioner`` maps a residual ``r`` to ``M^{-1} r``; defaults to
-    the Jacobi preconditioner built from the matrix diagonal.
+    the Jacobi preconditioner built from the matrix diagonal.  Runs the
+    library's single CG recurrence, :func:`~repro.linalg.iterative.pcg`.
     """
-    if sparse.issparse(matrix):
-        mat = matrix.tocsr()
-        matvec = lambda v: mat @ v
-        n = mat.shape[0]
-        if mat.shape[0] != mat.shape[1]:
-            raise DataValidationError(f"matrix must be square, got {mat.shape}")
-    else:
-        mat = np.asarray(matrix, dtype=np.float64)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DataValidationError(f"matrix must be square 2-d, got shape {mat.shape}")
-        matvec = lambda v: mat @ v
-        n = mat.shape[0]
-    rhs = check_vector(rhs, "rhs", min_length=0)
-    if rhs.shape[0] != n:
-        raise DataValidationError(f"rhs length {rhs.shape[0]} does not match matrix size {n}")
+    matvec, _, n, rhs, x = _prepare(matrix, rhs, x0)
     if preconditioner is None:
         preconditioner = jacobi_preconditioner(matrix)
     if max_iter is None:
         max_iter = max(10 * n, 50)
-
-    x = np.zeros(n) if x0 is None else check_vector(x0, "x0", min_length=0).copy()
-    if x.shape[0] != n:
-        raise DataValidationError(f"x0 length {x.shape[0]} does not match matrix size {n}")
-
-    norm = float(np.linalg.norm(rhs))
-    scale = norm if norm > 0 else 1.0
-    residual = rhs - matvec(x)
-    z = preconditioner(residual)
-    direction = z.copy()
-    rz = float(residual @ z)
-    residuals = [float(np.linalg.norm(residual))]
-    if residuals[-1] <= tol * scale:
-        return IterativeResult(x, 0, tuple(residuals), True)
-    for iteration in range(1, max_iter + 1):
-        a_direction = matvec(direction)
-        curvature = float(direction @ a_direction)
-        if curvature <= 0:
-            raise ConvergenceError(
-                "preconditioned CG encountered non-positive curvature; "
-                "the matrix is not positive definite",
-                iterations=iteration,
-                residual=residuals[-1],
-            )
-        step = rz / curvature
-        x = x + step * direction
-        residual = residual - step * a_direction
-        residuals.append(float(np.linalg.norm(residual)))
-        if residuals[-1] <= tol * scale:
-            return IterativeResult(x, iteration, tuple(residuals), True)
-        z = preconditioner(residual)
-        new_rz = float(residual @ z)
-        direction = z + (new_rz / rz) * direction
-        rz = new_rz
-    raise ConvergenceError(
-        f"preconditioned CG did not converge in {max_iter} iterations "
-        f"(relative residual {residuals[-1] / scale:.3e} > tol {tol:.1e})",
-        iterations=max_iter,
-        residual=residuals[-1],
-    )
+    return pcg(matvec, rhs, preconditioner=preconditioner, x0=x, tol=tol, max_iter=max_iter)

@@ -22,11 +22,24 @@ the standard algebraic-multigrid remedy from the *graph itself*:
    hierarchy serves a whole λ-sweep: at each level,
    ``Pᵀ(V + λL)P = diag(PᵀvV) + λ L(W_c)`` re-assembles in O(nnz) from
    cached parts.
-4. A **V-cycle** with damped-Jacobi pre/post smoothing and an exact
-   factorization at the coarsest level
-   (:class:`MultigridPreconditioner`) is a symmetric positive operator,
-   hence a valid CG preconditioner; :func:`solve_multigrid` wraps it
-   around :func:`~repro.linalg.advanced.preconditioned_conjugate_gradient`.
+4. One **V-cycle** (:class:`MultigridPreconditioner`) with damped-Jacobi
+   pre/post smoothing and an exact factorization at the coarsest level
+   is a symmetric positive operator, hence a valid CG preconditioner;
+   :func:`solve_multigrid` wraps it around
+   :func:`~repro.linalg.advanced.preconditioned_conjugate_gradient`.
+   Level transfers are aggregate labels (a ``bincount`` down, a
+   fancy-index up).  Its level operators come in two storages:
+
+   * **assembled** — per-level Galerkin CSR matrices from a
+     :class:`CoarseningHierarchy`, ``λ L_l + diag(mask_l)`` re-assembled
+     per λ;
+   * **matrix-free** — from a :class:`MatrixFreeHierarchy` that keeps
+     only ``O(N)`` aggregate maps: a coarse level applies
+     ``mask_l·v + λ·Pᵀ(L₀(Pv))`` through the fine Laplacian ``L₀`` on
+     the fly, and only the coarsest level is assembled.
+
+   Both hierarchies come from the same heavy-edge-matching passes, so
+   the two storages run the same algebra.
 
 The continuum-limit literature (Dunlop et al., *Large Data and Zero
 Noise Limits of Graph-Based Semi-Supervised Learning*; Calder,
@@ -65,7 +78,6 @@ __all__ = [
     "MatrixFreeHierarchy",
     "build_matrix_free_hierarchy",
     "MultigridPreconditioner",
-    "MatrixFreeMultigridPreconditioner",
     "solve_multigrid",
     "DEFAULT_MIN_COARSE_SIZE",
     "DEFAULT_OMEGA",
@@ -241,6 +253,12 @@ class CoarseningHierarchy:
         """Vertex counts per level, finest first."""
         return (self.n_vertices,) + tuple(lvl.n_coarse for lvl in self.levels)
 
+    @property
+    def labels(self) -> tuple[np.ndarray, ...]:
+        """Per-level aggregate maps: ``P`` has one unit entry per row, so
+        its column indices are the matching labels."""
+        return tuple(level.prolongation.indices for level in self.levels)
+
     def coarsen_diagonal(self, values: np.ndarray) -> list[np.ndarray]:
         """Aggregate a fine-level diagonal through every level.
 
@@ -275,42 +293,57 @@ def build_hierarchy(
     A graph already at or below ``min_coarse_size`` yields an empty
     hierarchy — the V-cycle then degenerates to one exact solve.
     """
+    fine, passes = _matching_passes(weights, min_coarse_size, max_levels)
+    levels = tuple(
+        CoarseLevel(
+            prolongation=prolongation,
+            weights=coarse,
+            laplacian=_graph_laplacian(coarse),
+        )
+        for _, prolongation, coarse in passes
+    )
+    return CoarseningHierarchy(n_vertices=int(fine.shape[0]), levels=levels)
+
+
+def _matching_passes(weights, min_coarse_size: int, max_levels: int, **span_attributes):
+    """The heavy-edge-matching loop both hierarchy builders run.
+
+    Validates the stopping parameters, then returns the fine CSR graph
+    and a generator yielding ``(labels, prolongation, coarse_weights)``
+    per level inside one ``repro.coarsen.hierarchy`` span.  Each level is
+    produced from the previous one only when the caller asks for it, so a
+    caller that keeps no level matrices holds at most two adjacent levels.
+    """
     if min_coarse_size < 1:
         raise ConfigurationError(
             f"min_coarse_size must be >= 1, got {min_coarse_size}"
         )
     if max_levels < 0:
         raise ConfigurationError(f"max_levels must be >= 0, got {max_levels}")
-    current = _as_csr(weights)
-    n = int(current.shape[0])
-    levels: list[CoarseLevel] = []
-    with obs.span(
-        "repro.coarsen.hierarchy",
-        n_vertices=n,
-        min_coarse_size=int(min_coarse_size),
-    ) as span:
-        while current.shape[0] > min_coarse_size and len(levels) < max_levels:
-            labels = heavy_edge_matching(current)
-            n_coarse = int(labels.max()) + 1
-            if n_coarse >= STALL_RATIO * current.shape[0]:
-                break
-            prolongation = aggregation_operator(labels)
-            coarse = coarsen_weights(current, prolongation)
-            levels.append(
-                CoarseLevel(
-                    prolongation=prolongation,
-                    weights=coarse,
-                    laplacian=_graph_laplacian(coarse),
-                )
-            )
-            current = coarse
-        if span.recording:
-            span.set_attribute("n_levels", len(levels))
-            span.set_attribute(
-                "n_coarsest", int(levels[-1].n_coarse) if levels else n
-            )
-        obs.get_registry().counter("coarsen.hierarchies").inc()
-    return CoarseningHierarchy(n_vertices=n, levels=tuple(levels))
+    fine = _as_csr(weights)
+
+    def passes():
+        with obs.span(
+            "repro.coarsen.hierarchy",
+            n_vertices=int(fine.shape[0]),
+            min_coarse_size=int(min_coarse_size),
+            **span_attributes,
+        ) as span:
+            current, n_levels = fine, 0
+            while current.shape[0] > min_coarse_size and n_levels < max_levels:
+                labels = heavy_edge_matching(current)
+                if int(labels.max()) + 1 >= STALL_RATIO * current.shape[0]:
+                    break
+                prolongation = aggregation_operator(labels)
+                current = coarsen_weights(current, prolongation)
+                n_levels += 1
+                yield labels, prolongation, current
+            if span.recording:
+                span.set_attribute("n_levels", n_levels)
+                span.set_attribute("n_coarsest", int(current.shape[0]))
+            obs.get_registry().counter("coarsen.hierarchies").inc()
+
+    return fine, passes()
 
 
 def _csr_bytes(matrix) -> int:
@@ -334,9 +367,10 @@ def _smoothing_cast(matrix, dtype: np.dtype):
 
     For float64 this is the matrix itself (no copy); for float32 a CSR
     sharing the index structure with single-precision data, so the extra
-    footprint is ``4 * nnz`` bytes, not a full second matrix.
+    footprint is ``4 * nnz`` bytes, not a full second matrix.  A
+    :class:`_GalerkinLevel` is built at the work dtype and passes as is.
     """
-    if dtype == np.float64:
+    if dtype == np.float64 or isinstance(matrix, _GalerkinLevel):
         return matrix
     csr = matrix.tocsr() if sparse.issparse(matrix) else sparse.csr_matrix(matrix)
     return sparse.csr_matrix(
@@ -477,14 +511,9 @@ def build_matrix_free_hierarchy(
     the hierarchy shares it instead of retaining a second 12-bytes-per-nnz
     copy of the largest matrix in the pipeline.
     """
-    if min_coarse_size < 1:
-        raise ConfigurationError(
-            f"min_coarse_size must be >= 1, got {min_coarse_size}"
-        )
-    if max_levels < 0:
-        raise ConfigurationError(f"max_levels must be >= 0, got {max_levels}")
-    fine = _as_csr(weights)
-    n = int(fine.shape[0])
+    fine, passes = _matching_passes(
+        weights, min_coarse_size, max_levels, hierarchy_mode="matrix_free"
+    )
     if fine_laplacian is None:
         fine_laplacian = _graph_laplacian(fine)
     else:
@@ -499,36 +528,16 @@ def build_matrix_free_hierarchy(
     lap_diagonals: list[np.ndarray] = []
     level_nnz: list[int] = []
     current = fine
-    composed: np.ndarray | None = None
-    with obs.span(
-        "repro.coarsen.hierarchy",
-        n_vertices=n,
-        min_coarse_size=int(min_coarse_size),
-        hierarchy_mode="matrix_free",
-    ) as span:
-        while current.shape[0] > min_coarse_size and len(labels_per_level) < max_levels:
-            labels = heavy_edge_matching(current)
-            n_coarse = int(labels.max()) + 1
-            if n_coarse >= STALL_RATIO * current.shape[0]:
-                break
-            prolongation = aggregation_operator(labels)
-            coarse = coarsen_weights(current, prolongation)
-            labels_per_level.append(labels)
-            composed = labels if composed is None else labels[composed]
-            composed_maps.append(composed)
-            degrees = np.asarray(coarse.sum(axis=1)).ravel()
-            lap_diagonals.append(degrees - coarse.diagonal())
-            level_nnz.append(int(coarse.nnz))
-            current = coarse  # the previous level's matrix is now garbage
-        if span.recording:
-            span.set_attribute("n_levels", len(labels_per_level))
-            span.set_attribute(
-                "n_coarsest",
-                int(current.shape[0]) if labels_per_level else n,
-            )
-        obs.get_registry().counter("coarsen.hierarchies").inc()
+    for labels, _, current in passes:
+        labels_per_level.append(labels)
+        composed_maps.append(
+            labels[composed_maps[-1]] if composed_maps else labels
+        )
+        degrees = np.asarray(current.sum(axis=1)).ravel()
+        lap_diagonals.append(degrees - current.diagonal())
+        level_nnz.append(int(current.nnz))
     return MatrixFreeHierarchy(
-        n_vertices=n,
+        n_vertices=int(fine.shape[0]),
         fine_laplacian=fine_laplacian,
         labels=tuple(labels_per_level),
         composed=tuple(composed_maps),
@@ -548,19 +557,57 @@ def _matvec(matrix, vector: np.ndarray) -> np.ndarray:
     return np.asarray(product).ravel()
 
 
+class _GalerkinLevel:
+    """A coarse level system applied through the fine Laplacian.
+
+    ``A v = diag(mask) v + λ · Pᵀ(L₀(P v))`` where ``P`` is the composed
+    fine-to-level aggregation: a fancy-index up, a ``bincount`` down.
+    The Galerkin identity ``PᵀL(W)P = L(PᵀWP)`` makes this the assembled
+    level system exactly, without ever storing it.  ``laplacian`` is
+    already at the work dtype ``dtype`` (one smoothing copy shared by
+    every level); ``diagonal()`` stays float64 for the smoother.
+    """
+
+    def __init__(self, laplacian, composed, mask, lam: float, lap_diagonal, dtype):
+        self.shape = (mask.shape[0], mask.shape[0])
+        self._laplacian = laplacian
+        self._composed = composed
+        self._lam = lam
+        self._mask = mask.astype(dtype, copy=False)
+        self._diagonal = mask + lam * lap_diagonal
+
+    def diagonal(self) -> np.ndarray:
+        return self._diagonal
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        lap_product = self._laplacian @ v[self._composed]
+        restricted = np.bincount(
+            self._composed, weights=lap_product, minlength=v.shape[0]
+        )
+        return self._mask * v + self._lam * np.asarray(
+            restricted, dtype=self._mask.dtype
+        )
+
+
 class MultigridPreconditioner:
     """Symmetric V-cycle over a stack of SPD level systems.
 
     Parameters
     ----------
     systems:
-        Per-level system matrices, finest first; ``systems[-1]`` is
+        Per-level system operators, finest first.  Every smoothing level
+        (all but the last) is an assembled matrix or a level operator
+        applied on the fly (see :meth:`from_hierarchy`); it needs only
+        ``@`` and ``diagonal()``.  ``systems[-1]`` is assembled and
         factorized exactly.  For the soft criterion these are
-        ``diag(v_l) + λ L_l`` with ``v_l, L_l`` from a
-        :class:`CoarseningHierarchy`.
-    prolongations:
-        ``len(systems) - 1`` aggregation operators linking consecutive
-        levels.
+        ``diag(v_l) + λ L_l`` with ``v_l, L_l`` from a hierarchy.
+    labels:
+        ``len(systems) - 1`` aggregate label arrays linking consecutive
+        levels: vertex ``i`` of level ``l`` belongs to aggregate
+        ``labels[l][i]`` of level ``l + 1`` (the prolongation is
+        ``P[i, labels[i]] = 1``, so for an assembled ``P`` the labels are
+        ``P.indices``).  Restriction is a ``bincount``, prolongation a
+        fancy-index.
     omega:
         Damped-Jacobi smoothing weight in ``(0, 1]``.
     n_smooth:
@@ -578,27 +625,33 @@ class MultigridPreconditioner:
     prolongated coarse-grid correction, damped-Jacobi post-smoothing.
     The operator is symmetric positive definite whenever every level
     system is, so it can be passed directly as the ``preconditioner`` of
-    :func:`~repro.linalg.advanced.preconditioned_conjugate_gradient`.
+    :func:`~repro.linalg.iterative.pcg`.
     """
 
     def __init__(
         self,
         systems,
-        prolongations,
+        labels,
         *,
         omega: float = DEFAULT_OMEGA,
         n_smooth: int = 1,
         dtype_policy: str = "float64",
     ):
         systems = list(systems)
-        prolongations = list(prolongations)
+        labels = [np.asarray(level, dtype=np.intp) for level in labels]
         if not systems:
             raise ConfigurationError("need at least one level system")
-        if len(prolongations) != len(systems) - 1:
+        if len(labels) != len(systems) - 1:
             raise ConfigurationError(
                 f"{len(systems)} level systems need {len(systems) - 1} "
-                f"prolongations, got {len(prolongations)}"
+                f"aggregate label arrays, got {len(labels)}"
             )
+        for level, level_labels in enumerate(labels):
+            if level_labels.shape != (systems[level].shape[0],):
+                raise ConfigurationError(
+                    f"level-{level} labels have shape {level_labels.shape} "
+                    f"but the level system is {systems[level].shape}"
+                )
         if not 0.0 < omega <= 1.0:
             raise ConfigurationError(f"omega must be in (0, 1], got {omega}")
         if n_smooth < 1:
@@ -607,16 +660,11 @@ class MultigridPreconditioner:
         self.n_smooth = int(n_smooth)
         self.dtype_policy = str(dtype_policy)
         self._work_dtype = _check_dtype_policy(self.dtype_policy)
-        self._systems = systems
-        self._prolongations = prolongations
+        self._labels = labels
+        self._sizes = [int(system.shape[0]) for system in systems]
         self._inv_diagonals: list[np.ndarray] = []
         for level, system in enumerate(systems[:-1]):
-            diagonal = (
-                system.diagonal()
-                if sparse.issparse(system)
-                else np.diagonal(np.asarray(system)).copy()
-            )
-            diagonal = np.asarray(diagonal, dtype=np.float64)
+            diagonal = np.asarray(system.diagonal(), dtype=np.float64).ravel()
             if diagonal.size and diagonal.min() <= 0:
                 raise DataValidationError(
                     f"level-{level} system has a non-positive diagonal; "
@@ -625,7 +673,7 @@ class MultigridPreconditioner:
             self._inv_diagonals.append(
                 (1.0 / diagonal).astype(self._work_dtype, copy=False)
             )
-        self._smooth_systems = [
+        self._operators = [
             _smoothing_cast(system, self._work_dtype) for system in systems[:-1]
         ]
         self._coarse_factor: SPDFactorization = factorize_spd(systems[-1])
@@ -647,9 +695,9 @@ class MultigridPreconditioner:
         ``hierarchy`` defaults to coarsening the graph recovered from the
         matrix's off-diagonal (:func:`graph_from_system`); level systems
         are the triple products ``PᵀAP``.  Callers sweeping λ over one
-        graph should prefer assembling levels from a shared hierarchy
-        (as :class:`~repro.linalg.workspace.SolveWorkspace` does) — this
-        constructor recoarsens per call.
+        graph should prefer :meth:`from_hierarchy` with a shared
+        hierarchy (as :class:`~repro.linalg.workspace.SolveWorkspace`
+        does) — this constructor recoarsens per call.
         """
         if hierarchy is None:
             hierarchy = build_hierarchy(
@@ -658,214 +706,105 @@ class MultigridPreconditioner:
                 max_levels=max_levels,
             )
         systems = [matrix]
-        prolongations = []
-        current = matrix
         for level in hierarchy.levels:
             p = level.prolongation
-            current = p.T @ current @ p
-            if sparse.issparse(current):
-                current = current.tocsr()
-            systems.append(current)
-            prolongations.append(p)
+            current = p.T @ systems[-1] @ p
+            systems.append(current.tocsr() if sparse.issparse(current) else current)
         return cls(
-            systems, prolongations, omega=omega, n_smooth=n_smooth,
+            systems, hierarchy.labels, omega=omega, n_smooth=n_smooth,
             dtype_policy=dtype_policy,
         )
 
-    @property
-    def n_levels(self) -> int:
-        return len(self._systems)
-
-    def __call__(self, residual: np.ndarray) -> np.ndarray:
-        rhs = np.asarray(residual, dtype=np.float64)
-        x = self._cycle(0, np.asarray(rhs, dtype=self._work_dtype))
-        return np.asarray(x, dtype=np.float64)
-
-    def _smooth(self, level: int, rhs: np.ndarray, x: np.ndarray | None):
-        """Damped-Jacobi sweeps ``x += ω D⁻¹ (rhs - A x)``."""
-        system = self._smooth_systems[level]
-        inv_diag = self._inv_diagonals[level]
-        sweeps = self.n_smooth
-        if x is None:
-            x = self.omega * (inv_diag * rhs)
-            sweeps -= 1
-        for _ in range(sweeps):
-            x = x + self.omega * (inv_diag * (rhs - _matvec(system, x)))
-        return x
-
-    def _cycle(self, level: int, rhs: np.ndarray) -> np.ndarray:
-        if level == len(self._systems) - 1:
-            coarse = self._coarse_factor.solve(np.asarray(rhs, dtype=np.float64))
-            return np.asarray(coarse, dtype=self._work_dtype).ravel()
-        x = self._smooth(level, rhs, None)
-        prolongation = self._prolongations[level]
-        coarse_residual = np.asarray(
-            prolongation.T @ (rhs - _matvec(self._smooth_systems[level], x)),
-            dtype=self._work_dtype,
-        ).ravel()
-        x = x + np.asarray(
-            prolongation @ self._cycle(level + 1, coarse_residual),
-            dtype=self._work_dtype,
-        ).ravel()
-        return self._smooth(level, rhs, x)
-
-
-class MatrixFreeMultigridPreconditioner:
-    """Symmetric V-cycle applying coarse operators through aggregate maps.
-
-    Functionally a :class:`MultigridPreconditioner` for the level-system
-    family ``A_l = diag(mask_l) + λ L_l``, but no coarse matrix is ever
-    stored: a smoothing level applies its operator on the fly as
-
-    .. math:: A_l v \\;=\\; \\mathrm{diag}(mask_l)\\,v
-              \\; + \\; λ\\, P_l^T\\,(L_0\\,(P_l v))
-
-    where ``P_l`` is the composed fine-to-level aggregation (a
-    fancy-index up, a ``bincount`` down) and ``L_0`` the fine Laplacian
-    the workspace already holds — exact by the Galerkin identity
-    ``PᵀL(W)P = L(PᵀWP)``.  Level transfers use the per-level matchings
-    the same way.  Only the coarsest level is assembled and factorized
-    (float64, per λ), so retained memory is the hierarchy's ``O(N)``
-    maps instead of ``O(Σ nnz_level)`` CSR stacks; the trade is that
-    each coarse smoothing sweep costs a fine-level SpMV.
-
-    Parameters
-    ----------
-    fine_system:
-        Assembled fine system ``V + λL`` — required by the outer CG
-        anyway, so it is shared rather than duplicated.
-    hierarchy:
-        A :class:`MatrixFreeHierarchy` over the same graph.
-    lam:
-        The λ of this preconditioner's system family.
-    mask_diagonals:
-        Per-coarse-level aggregated labeled-mask diagonals, finest
-        coarse first (``hierarchy.coarsen_diagonal(indicator)``).
-    omega / n_smooth / dtype_policy:
-        As :class:`MultigridPreconditioner`; under ``"float32"`` the
-        smoothing SpMVs run against float32-data copies of the fine
-        system and fine Laplacian (``4 nnz₀`` extra bytes total) while
-        the coarsest solve and the outer CG stay float64.
-    """
-
-    def __init__(
-        self,
+    @classmethod
+    def from_hierarchy(
+        cls,
         fine_system,
-        hierarchy: MatrixFreeHierarchy,
+        hierarchy: CoarseningHierarchy | MatrixFreeHierarchy,
         lam: float,
         mask_diagonals,
         *,
         omega: float = DEFAULT_OMEGA,
         n_smooth: int = 1,
         dtype_policy: str = "float64",
-    ):
-        if not 0.0 < omega <= 1.0:
-            raise ConfigurationError(f"omega must be in (0, 1], got {omega}")
-        if n_smooth < 1:
-            raise ConfigurationError(f"n_smooth must be >= 1, got {n_smooth}")
-        mask_diagonals = [
-            np.asarray(mask, dtype=np.float64).ravel() for mask in mask_diagonals
-        ]
-        if len(mask_diagonals) != len(hierarchy.labels):
+    ) -> "MultigridPreconditioner":
+        """The V-cycle of ``diag(mask_l) + λ L_l`` over a shared hierarchy.
+
+        ``fine_system`` is the assembled ``V + λL`` (the outer CG needs it
+        anyway, so it is shared); ``mask_diagonals`` are the per-coarse-
+        level aggregated labeled-mask diagonals, finest coarse first
+        (``hierarchy.coarsen_diagonal(indicator)``).  The coarsest level
+        is always assembled from its Laplacian and factorized (float64,
+        per λ).  The other coarse levels depend on the representation:
+
+        * :class:`CoarseningHierarchy` — re-assembled CSR
+          ``λ L_l + diag(mask_l)`` from the cached coarse Laplacians;
+        * :class:`MatrixFreeHierarchy` — ``mask_l·v + λ·Pᵀ(L₀(Pv))``
+          through the fine Laplacian, so no coarse matrix is stored and
+          each coarse smoothing sweep costs a fine SpMV; under
+          ``"float32"`` one single-precision copy of ``L₀`` serves them
+          all.
+        """
+        lam = float(lam)
+        masks = [np.asarray(mask, dtype=np.float64).ravel() for mask in mask_diagonals]
+        if len(masks) != len(hierarchy.labels):
             raise ConfigurationError(
                 f"hierarchy has {len(hierarchy.labels)} coarse levels but "
-                f"{len(mask_diagonals)} mask diagonals were given"
+                f"{len(masks)} mask diagonals were given"
             )
-        self.omega = float(omega)
-        self.n_smooth = int(n_smooth)
-        self.dtype_policy = str(dtype_policy)
-        self._work_dtype = _check_dtype_policy(self.dtype_policy)
-        self._hierarchy = hierarchy
-        self._lam = float(lam)
-        self._sizes = hierarchy.sizes
-
-        # Inverse diagonals for the damped-Jacobi sweeps on every
-        # smoothing level (0 .. n_levels - 2); the coarse ones come from
-        # the O(n_l) cached pieces, never from an assembled matrix.
-        diagonals = [
-            np.asarray(
-                fine_system.diagonal()
-                if sparse.issparse(fine_system)
-                else np.diagonal(np.asarray(fine_system)).copy(),
-                dtype=np.float64,
-            )
-        ]
-        for mask, lap_diag in zip(
-            mask_diagonals[:-1], hierarchy.lap_diagonals[:-1]
-        ):
-            diagonals.append(mask + self._lam * lap_diag)
-        self._inv_diagonals: list[np.ndarray] = []
-        for level, diagonal in enumerate(diagonals):
-            if diagonal.size and diagonal.min() <= 0:
-                raise DataValidationError(
-                    f"level-{level} system has a non-positive diagonal; "
-                    "the damped-Jacobi smoother requires SPD level systems"
+        if isinstance(hierarchy, MatrixFreeHierarchy):
+            work_dtype = _check_dtype_policy(dtype_policy)
+            laplacian = _smoothing_cast(hierarchy.fine_laplacian, work_dtype)
+            coarse = [
+                _GalerkinLevel(laplacian, composed, mask, lam, lap_diagonal, work_dtype)
+                for composed, mask, lap_diagonal in zip(
+                    hierarchy.composed[:-1], masks[:-1], hierarchy.lap_diagonals[:-1]
                 )
-            self._inv_diagonals.append(
-                (1.0 / diagonal).astype(self._work_dtype, copy=False)
-            )
-        self._masks = [
-            mask.astype(self._work_dtype, copy=False) for mask in mask_diagonals
-        ]
-        self._fine_smooth = _smoothing_cast(fine_system, self._work_dtype)
-        self._lap_smooth = _smoothing_cast(
-            hierarchy.fine_laplacian, self._work_dtype
-        )
-        if hierarchy.labels:
-            coarsest_system = (
-                self._lam * hierarchy.coarsest_laplacian
-                + sparse.diags(mask_diagonals[-1], format="csr")
-            ).tocsr()
+            ]
+            assembled = [(hierarchy.coarsest_laplacian, masks[-1])] if masks else []
         else:
-            coarsest_system = fine_system
-        self._coarse_factor: SPDFactorization = factorize_spd(coarsest_system)
+            coarse = []
+            assembled = [
+                (level.laplacian, mask) for level, mask in zip(hierarchy.levels, masks)
+            ]
+        coarse += [
+            (lam * laplacian + sparse.diags(mask, format="csr")).tocsr()
+            for laplacian, mask in assembled
+        ]
+        return cls(
+            [fine_system, *coarse], hierarchy.labels, omega=omega,
+            n_smooth=n_smooth, dtype_policy=dtype_policy,
+        )
 
     @property
     def n_levels(self) -> int:
-        return self._hierarchy.n_levels
+        return len(self._sizes)
 
     def __call__(self, residual: np.ndarray) -> np.ndarray:
         rhs = np.asarray(residual, dtype=np.float64)
         x = self._cycle(0, np.asarray(rhs, dtype=self._work_dtype))
         return np.asarray(x, dtype=np.float64)
 
-    def _apply(self, level: int, v: np.ndarray) -> np.ndarray:
-        """``A_level @ v`` without an assembled level matrix."""
-        if level == 0:
-            return _matvec(self._fine_smooth, v)
-        composed = self._hierarchy.composed[level - 1]
-        # P v (fancy-index up), L0 ·, Pᵀ (bincount down): the Galerkin
-        # coarse Laplacian applied through the fine one.
-        lap_product = self._lap_smooth @ v[composed]
-        restricted = np.bincount(
-            composed, weights=lap_product, minlength=v.shape[0]
-        )
-        return self._masks[level - 1] * v + self._lam * np.asarray(
-            restricted, dtype=self._work_dtype
-        )
-
     def _smooth(self, level: int, rhs: np.ndarray, x: np.ndarray | None):
         """Damped-Jacobi sweeps ``x += ω D⁻¹ (rhs - A x)``."""
+        operator = self._operators[level]
         inv_diag = self._inv_diagonals[level]
         sweeps = self.n_smooth
         if x is None:
             x = self.omega * (inv_diag * rhs)
             sweeps -= 1
         for _ in range(sweeps):
-            x = x + self.omega * (inv_diag * (rhs - self._apply(level, x)))
+            x = x + self.omega * (inv_diag * (rhs - _matvec(operator, x)))
         return x
 
     def _cycle(self, level: int, rhs: np.ndarray) -> np.ndarray:
-        if level == self.n_levels - 1:
+        if level == len(self._labels):
             coarse = self._coarse_factor.solve(np.asarray(rhs, dtype=np.float64))
             return np.asarray(coarse, dtype=self._work_dtype).ravel()
         x = self._smooth(level, rhs, None)
-        labels = self._hierarchy.labels[level]
-        residual = rhs - self._apply(level, x)
+        labels = self._labels[level]
+        residual = rhs - _matvec(self._operators[level], x)
         coarse_residual = np.asarray(
-            np.bincount(
-                labels, weights=residual, minlength=self._sizes[level + 1]
-            ),
+            np.bincount(labels, weights=residual, minlength=self._sizes[level + 1]),
             dtype=self._work_dtype,
         )
         x = x + self._cycle(level + 1, coarse_residual)[labels]

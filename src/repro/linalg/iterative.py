@@ -10,6 +10,12 @@ Three classical methods for ``A x = b``:
 * :func:`conjugate_gradient` — Krylov method for SPD systems; the
   default iterative backend for large graphs.
 
+:func:`pcg` is the one conjugate-gradient recurrence in the library:
+:func:`conjugate_gradient` runs it unpreconditioned, and
+:func:`~repro.linalg.advanced.preconditioned_conjugate_gradient`, the
+solve workspace's anchored and multigrid sweeps and the serving layer's
+exact insertions run it with their own preconditioners.
+
 Each returns an :class:`IterativeResult` carrying the solution, iteration
 count, and residual history, and raises
 :class:`~repro.exceptions.ConvergenceError` when tolerance is not met.
@@ -17,6 +23,8 @@ count, and residual history, and raises
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +35,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.utils.validation import check_vector
 
-__all__ = ["IterativeResult", "jacobi", "gauss_seidel", "conjugate_gradient"]
+__all__ = ["IterativeResult", "jacobi", "gauss_seidel", "conjugate_gradient", "pcg"]
 
 
 @dataclass(frozen=True)
@@ -145,17 +153,19 @@ def gauss_seidel(matrix, rhs, *, x0=None, tol: float = 1e-10, max_iter: int = 10
     """Gauss-Seidel iteration (forward sweeps).
 
     Uses the latest components within each sweep; converges for symmetric
-    positive-definite and for strictly diagonally dominant systems.
+    positive-definite and for strictly diagonally dominant systems.  It
+    is successive over-relaxation at ``omega = 1`` and runs that loop.
     """
     with obs_trace.span("repro.linalg.gauss_seidel") as span:
         return _observe_iterative(
             "gauss_seidel",
             span,
-            _gauss_seidel_impl(matrix, rhs, x0=x0, tol=tol, max_iter=max_iter),
+            _sor_impl(matrix, rhs, omega=1.0, x0=x0, tol=tol, max_iter=max_iter, name="gauss_seidel"),
         )
 
 
-def _gauss_seidel_impl(matrix, rhs, *, x0, tol: float, max_iter: int) -> IterativeResult:
+def _sor_impl(matrix, rhs, *, omega: float, x0, tol: float, max_iter: int, name: str) -> IterativeResult:
+    """Forward SOR sweeps ``x <- (D + ωL)⁻¹ (ωb - (ωU + (ω-1)D) x)``."""
     if sparse.issparse(matrix):
         dense = np.asarray(matrix.todense())
     else:
@@ -165,7 +175,7 @@ def _gauss_seidel_impl(matrix, rhs, *, x0, tol: float, max_iter: int) -> Iterati
     n = dense.shape[0]
     diag = np.diagonal(dense).copy()
     if n and np.any(diag == 0):
-        raise DataValidationError("gauss_seidel requires a zero-free diagonal")
+        raise DataValidationError(f"{name} requires a zero-free diagonal")
     rhs = check_vector(rhs, "rhs", min_length=0)
     if rhs.shape[0] != n:
         raise DataValidationError(f"rhs length {rhs.shape[0]} does not match matrix size {n}")
@@ -173,27 +183,26 @@ def _gauss_seidel_impl(matrix, rhs, *, x0, tol: float, max_iter: int) -> Iterati
     if x.shape[0] != n:
         raise DataValidationError(f"x0 length {x.shape[0]} does not match matrix size {n}")
 
-    strict_lower = np.tril(dense, k=-1)
-    upper = np.triu(dense, k=1)
-    lower_with_diag = strict_lower + np.diag(diag)
-    scale = _tolerance_scale(rhs)
-    residuals: list[float] = []
     from scipy.linalg import solve_triangular
 
+    sweep_matrix = np.diag(diag) + omega * np.tril(dense, k=-1)
+    carry_matrix = omega * np.triu(dense, k=1) + (omega - 1.0) * np.diag(diag)
+    scale = _tolerance_scale(rhs)
+    residuals: list[float] = []
     for iteration in range(1, max_iter + 1):
         residual = rhs - dense @ x
         res_norm = float(np.linalg.norm(residual))
         residuals.append(res_norm)
         if res_norm <= tol * scale:
             return IterativeResult(x, iteration - 1, tuple(residuals), True)
-        x = solve_triangular(lower_with_diag, rhs - upper @ x, lower=True)
+        x = solve_triangular(sweep_matrix, omega * rhs - carry_matrix @ x, lower=True)
     residual = rhs - dense @ x
     res_norm = float(np.linalg.norm(residual))
     residuals.append(res_norm)
     if res_norm <= tol * scale:
         return IterativeResult(x, max_iter, tuple(residuals), True)
     raise ConvergenceError(
-        f"gauss_seidel did not converge in {max_iter} iterations "
+        f"{name}(omega={omega}) did not converge in {max_iter} iterations "
         f"(relative residual {res_norm / scale:.3e} > tol {tol:.1e})",
         iterations=max_iter,
         residual=res_norm,
@@ -203,48 +212,89 @@ def _gauss_seidel_impl(matrix, rhs, *, x0, tol: float, max_iter: int) -> Iterati
 def conjugate_gradient(matrix, rhs, *, x0=None, tol: float = 1e-10, max_iter: int | None = None) -> IterativeResult:
     """Conjugate gradients for symmetric positive-definite systems.
 
-    Classic Hestenes-Stiefel recurrence with residual-norm tracking.
-    ``max_iter`` defaults to ``10 n`` (CG terminates in at most ``n``
-    exact-arithmetic steps; the slack absorbs floating-point drift).
+    Classic Hestenes-Stiefel recurrence (:func:`pcg` without a
+    preconditioner) with residual-norm tracking.  ``max_iter`` defaults
+    to ``10 n`` (CG terminates in at most ``n`` exact-arithmetic steps;
+    the slack absorbs floating-point drift).
     """
     with obs_trace.span("repro.linalg.cg") as span:
-        return _observe_iterative(
-            "cg", span, _cg_impl(matrix, rhs, x0=x0, tol=tol, max_iter=max_iter)
-        )
+        matvec, _, n, rhs, x = _prepare(matrix, rhs, x0)
+        if max_iter is None:
+            max_iter = max(10 * n, 50)
+        return _observe_iterative("cg", span, pcg(matvec, rhs, x0=x, tol=tol, max_iter=max_iter))
 
 
-def _cg_impl(matrix, rhs, *, x0, tol: float, max_iter: int | None) -> IterativeResult:
-    matvec, _, n, rhs, x = _prepare(matrix, rhs, x0)
-    if max_iter is None:
-        max_iter = max(10 * n, 50)
+def pcg(
+    matvec: Callable[[np.ndarray], np.ndarray],
+    rhs: np.ndarray,
+    *,
+    preconditioner: Callable[[np.ndarray], np.ndarray] | None = None,
+    x0: np.ndarray | None = None,
+    tol: float = 1e-10,
+    max_iter: int,
+) -> IterativeResult:
+    """Preconditioned conjugate gradients on a callable SPD operator.
+
+    ``matvec`` applies ``A``; ``preconditioner`` maps a residual ``r`` to
+    ``M⁻¹ r`` (``None`` is plain CG).  Converged when the residual
+    2-norm is at most ``tol · ‖rhs‖``.  ``x0`` is copied, never written;
+    the iterate, residual and search direction are updated in place.
+
+    Raises :class:`~repro.exceptions.ConvergenceError` carrying the
+    iteration and residual at the first non-positive or non-finite
+    curvature ``dᵀAd``, at the first non-finite residual (a NaN/Inf from
+    the operator or the preconditioner), or after ``max_iter``
+    iterations.
+    """
+    rhs = np.asarray(rhs, dtype=np.float64)
+    x = np.zeros(rhs.shape[0]) if x0 is None else np.array(x0, dtype=np.float64)
     scale = _tolerance_scale(rhs)
     residual = rhs - matvec(x)
-    direction = residual.copy()
     res_sq = float(residual @ residual)
-    residuals = [float(np.sqrt(res_sq))]
+    residuals = [math.sqrt(res_sq)]
     if residuals[-1] <= tol * scale:
         return IterativeResult(x, 0, tuple(residuals), True)
+    if preconditioner is None:
+        direction, rz = residual.copy(), res_sq
+    else:
+        direction = np.array(preconditioner(residual), dtype=np.float64)
+        rz = float(residual @ direction)
+    scratch = np.empty_like(x)
     for iteration in range(1, max_iter + 1):
         a_direction = matvec(direction)
         curvature = float(direction @ a_direction)
-        if curvature <= 0:
+        if not math.isfinite(curvature) or curvature <= 0:
             raise ConvergenceError(
-                "conjugate_gradient encountered non-positive curvature; "
-                "the matrix is not positive definite",
+                f"CG encountered curvature {curvature:.3e} at iteration "
+                f"{iteration}; a non-finite value comes from the operator or "
+                "preconditioner, a non-positive one means the operator is "
+                "not positive definite",
                 iterations=iteration,
                 residual=residuals[-1],
             )
-        step = res_sq / curvature
-        x = x + step * direction
-        residual = residual - step * a_direction
-        new_res_sq = float(residual @ residual)
-        residuals.append(float(np.sqrt(new_res_sq)))
+        step = rz / curvature
+        x += np.multiply(direction, step, out=scratch)
+        residual -= np.multiply(a_direction, step, out=scratch)
+        res_sq = float(residual @ residual)
+        residuals.append(math.sqrt(res_sq))
+        if not math.isfinite(residuals[-1]):
+            raise ConvergenceError(
+                f"CG residual became non-finite at iteration {iteration}",
+                iterations=iteration,
+                residual=residuals[-1],
+            )
         if residuals[-1] <= tol * scale:
             return IterativeResult(x, iteration, tuple(residuals), True)
-        direction = residual + (new_res_sq / res_sq) * direction
-        res_sq = new_res_sq
+        if preconditioner is None:
+            z, new_rz = residual, res_sq
+        else:
+            z = preconditioner(residual)
+            new_rz = float(residual @ z)
+        direction *= new_rz / rz
+        direction += z
+        rz = new_rz
     raise ConvergenceError(
-        f"conjugate_gradient did not converge in {max_iter} iterations "
+        f"CG did not converge in {max_iter} iterations "
         f"(relative residual {residuals[-1] / scale:.3e} > tol {tol:.1e})",
         iterations=max_iter,
         residual=residuals[-1],

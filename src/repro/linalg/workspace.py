@@ -36,14 +36,23 @@ shared across the sweep:
 * **multigrid** — no large factorization at any point: a λ-independent
   graph-coarsening hierarchy (:mod:`repro.linalg.coarsen`, heavy-edge
   matching) is built once per workspace, and each λ is solved by
-  warm-started PCG preconditioned with a damped-Jacobi V-cycle whose
-  level systems ``diag(v_l) + λ L_l`` re-assemble in O(nnz) per grid
-  point (the Galerkin coarse operator of a graph Laplacian is the
-  Laplacian of the coarsened graph, and aggregation keeps ``V``
-  diagonal).  This is the backend that scales past the splu fill-in
-  wall (N ≈ 10⁴ in d ≥ 3) to N = 10⁵⁺; solutions match direct solves
-  to the CG tolerance, with an exact-factorization fallback if the
-  V-cycle ever stalls.
+  warm-started PCG preconditioned with one damped-Jacobi V-cycle over
+  the level systems ``diag(v_l) + λ L_l`` (the Galerkin coarse operator
+  of a graph Laplacian is the Laplacian of the coarsened graph, and
+  aggregation keeps ``V`` diagonal).  The V-cycle takes its level
+  operators in one of two storages, fixed by ``hierarchy_mode``:
+  assembled CSR matrices re-assembled in O(nnz) per grid point, or
+  matrix-free operators ``v_l·v + λ·Pᵀ(L₀(Pv))`` applied through the
+  fine Laplacian.  This is the backend that scales past the splu
+  fill-in wall (N ≈ 10⁴ in d ≥ 3) to N = 10⁵⁺; solutions match direct
+  solves to the CG tolerance, with an exact-factorization fallback if
+  the V-cycle ever stalls (the stall's iterations and residual are
+  kept in the result details).
+
+The anchored (``factored``) and ``multigrid`` sweeps both run the
+library's single CG recurrence, :func:`~repro.linalg.iterative.pcg`,
+which copies the warm start instead of writing into the previous grid
+point's returned scores.
 
 Iterative backends (``"cg"``, ``"jacobi"``, ``"gauss_seidel"``) are also
 supported and warm-started from the previous solution in the sweep, with
@@ -77,16 +86,15 @@ from repro.exceptions import (
     DataValidationError,
     WorkspaceInvalidatedError,
 )
-from repro.linalg.advanced import preconditioned_conjugate_gradient
 from repro.linalg.coarsen import (
     DTYPE_POLICIES,
     CoarseningHierarchy,
     MatrixFreeHierarchy,
-    MatrixFreeMultigridPreconditioner,
     MultigridPreconditioner,
     build_hierarchy,
     build_matrix_free_hierarchy,
 )
+from repro.linalg.iterative import pcg
 from repro.linalg.solvers import SolveInfo, SPDFactorization, factorize_spd, solve_spd
 from repro.utils.validation import (
     check_labels,
@@ -748,8 +756,8 @@ class SolveWorkspace:
         x0 = state.last_solution
         warm = x0 is not None
         try:
-            result = preconditioned_conjugate_gradient(
-                system,
+            result = pcg(
+                lambda v: system @ v,
                 rhs,
                 preconditioner=state.anchor.solve,
                 x0=x0,
@@ -830,50 +838,42 @@ class SolveWorkspace:
             self._coarse_masks[n] = cached
         return cached
 
-    def _multigrid_preconditioner(self, lam: float, n: int):
-        hierarchy = self.hierarchy()
-        if self._hierarchy_mode == "matrix_free":
-            return MatrixFreeMultigridPreconditioner(
-                self.soft_system(lam, n),
-                hierarchy,
-                lam,
-                self._coarse_mask_diagonals(n),
-                dtype_policy=self.dtype_policy,
-            )
-        systems = [self.soft_system(lam, n)]
-        for level, mask in zip(hierarchy.levels, self._coarse_mask_diagonals(n)):
-            systems.append(
-                (lam * level.laplacian + sparse.diags(mask, format="csr")).tocsr()
-            )
-        prolongations = [level.prolongation for level in hierarchy.levels]
-        return MultigridPreconditioner(
-            systems, prolongations, dtype_policy=self.dtype_policy
-        )
-
     def _solve_multigrid(self, y: np.ndarray, lam: float, n: int):
         state = self._continuation("soft", n)
         system = self.soft_system(lam, n)
         rhs = self._rhs_soft(y)
         registry = obs.get_registry()
-        preconditioner = self._multigrid_preconditioner(lam, n)
+        preconditioner = MultigridPreconditioner.from_hierarchy(
+            system,
+            self.hierarchy(),
+            lam,
+            self._coarse_mask_diagonals(n),
+            dtype_policy=self.dtype_policy,
+        )
         x0 = state.last_solution
         warm = x0 is not None
         try:
-            result = preconditioned_conjugate_gradient(
-                system,
+            result = pcg(
+                lambda v: system @ v,
                 rhs,
                 preconditioner=preconditioner,
                 x0=x0,
                 tol=self.pcg_tol,
                 max_iter=MULTIGRID_MAX_ITER,
             )
-        except ConvergenceError:
+        except ConvergenceError as stall:
             # A stalled V-cycle (pathological graph) falls back to an
-            # exact factorization at this λ, like a factored re-anchor.
+            # exact factorization at this λ, like a factored re-anchor;
+            # the stall's iteration and residual say why.
             self._counters["reanchors"] += 1
             registry.counter("workspace.reanchors").inc()
             factor = self.factorization("soft", lam, n)
-            return factor.solve(rhs), factor.info(), {"fallback": "exact"}
+            details = {
+                "fallback": "exact",
+                "stall_iterations": stall.iterations,
+                "stall_residual": stall.residual,
+            }
+            return factor.solve(rhs), factor.info(), details
         self._counters["multigrid_solves"] += 1
         self._counters["pcg_iterations"] += result.iterations
         registry.counter("workspace.multigrid_solves").inc()
@@ -986,6 +986,10 @@ class SolveWorkspace:
             if span.recording:
                 span.set_attribute("solve_method", info.method)
                 span.set_attribute("iterations", info.iterations)
+                if "fallback" in details:
+                    span.set_attributes(
+                        {key: details[key] for key in ("fallback", "stall_iterations", "stall_residual")}
+                    )
             registry = obs.get_registry()
             registry.counter("workspace.solves").inc()
             details = {

@@ -44,6 +44,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.exceptions import ConvergenceError, DataValidationError
+from repro.linalg.iterative import pcg
 from repro.serving.queries import QueryRow
 
 __all__ = ["InsertionResult", "ExactInserter"]
@@ -65,49 +66,6 @@ class InsertionResult:
 
     prediction: float
     iterations: int
-
-
-def _pcg(matvec, rhs, precondition, x0, *, tol=INSERTION_TOL, max_iter=INSERTION_MAX_ITER):
-    """Preconditioned CG on a callable operator (the bordered systems).
-
-    Same algorithm as
-    :func:`repro.linalg.advanced.preconditioned_conjugate_gradient`, but
-    accepting callables: the bordered operators are cheap to apply and
-    never worth materializing.
-    """
-    x = x0.copy()
-    norm = float(np.linalg.norm(rhs))
-    scale = norm if norm > 0 else 1.0
-    residual = rhs - matvec(x)
-    if float(np.linalg.norm(residual)) <= tol * scale:
-        return x, 0
-    z = precondition(residual)
-    direction = z.copy()
-    rz = float(residual @ z)
-    for iteration in range(1, max_iter + 1):
-        a_direction = matvec(direction)
-        curvature = float(direction @ a_direction)
-        if curvature <= 0:
-            raise ConvergenceError(
-                "bordered insertion system is not positive definite "
-                "(is the extended graph connected to the labeled set?)",
-                iterations=iteration,
-                residual=float(np.linalg.norm(residual)),
-            )
-        step = rz / curvature
-        x = x + step * direction
-        residual = residual - step * a_direction
-        if float(np.linalg.norm(residual)) <= tol * scale:
-            return x, iteration
-        z = precondition(residual)
-        new_rz = float(residual @ z)
-        direction = z + (new_rz / rz) * direction
-        rz = new_rz
-    raise ConvergenceError(
-        f"exact insertion did not converge in {max_iter} iterations",
-        iterations=max_iter,
-        residual=float(np.linalg.norm(residual)),
-    )
 
 
 def _require_support(row: QueryRow) -> float:
@@ -206,8 +164,11 @@ class ExactInserter:
         def precondition(r):
             return np.concatenate([factor.solve(r[:m]), [r[m] / s]])
 
-        x, iterations = _pcg(matvec, rhs, precondition, x0)
-        return InsertionResult(float(x[m]), iterations)
+        result = pcg(
+            matvec, rhs, preconditioner=precondition, x0=x0,
+            tol=INSERTION_TOL, max_iter=INSERTION_MAX_ITER,
+        )
+        return InsertionResult(float(result.x[m]), result.iterations)
 
     def _hard_rhs(self) -> np.ndarray:
         if not hasattr(self, "_cached_hard_rhs"):
@@ -247,8 +208,11 @@ class ExactInserter:
         def precondition(r):
             return np.concatenate([factor.solve(r[:total]), [r[total] / (lam * s)]])
 
-        x, iterations = _pcg(matvec, rhs, precondition, x0)
-        return InsertionResult(float(x[total]), iterations)
+        result = pcg(
+            matvec, rhs, preconditioner=precondition, x0=x0,
+            tol=INSERTION_TOL, max_iter=INSERTION_MAX_ITER,
+        )
+        return InsertionResult(float(result.x[total]), result.iterations)
 
     def _soft_rhs(self) -> np.ndarray:
         if not hasattr(self, "_cached_soft_rhs"):
@@ -297,7 +261,10 @@ class ExactInserter:
         def matvec(v):
             return system @ v + cu * v
 
-        v, _ = _pcg(matvec, cu, factor.solve, g)
+        v = pcg(
+            matvec, cu, preconditioner=factor.solve, x0=g,
+            tol=INSERTION_TOL, max_iter=INSERTION_MAX_ITER,
+        ).x
         denom = s - float(cu @ v)
         if denom <= 0:
             raise ConvergenceError(

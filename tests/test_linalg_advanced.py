@@ -32,7 +32,8 @@ class TestSor:
         via_sor = sor(a, b, omega=1.0, tol=1e-11, max_iter=50_000)
         via_gs = gauss_seidel(a, b, tol=1e-11, max_iter=50_000)
         assert via_sor.iterations == via_gs.iterations
-        np.testing.assert_allclose(via_sor.x, via_gs.x, atol=1e-9)
+        assert via_sor.residual_norms == via_gs.residual_norms
+        np.testing.assert_array_equal(via_sor.x, via_gs.x)
 
     def test_over_relaxation_can_accelerate(self, rng):
         """On an ill-conditioned SPD system a good omega beats omega=1."""
@@ -101,6 +102,26 @@ class TestPreconditionedCg:
         a = np.array([[1.0, 3.0], [3.0, 1.0]])
         with pytest.raises(ConvergenceError, match="positive definite"):
             preconditioned_conjugate_gradient(a, np.array([1.0, -1.0]))
+
+    def test_non_finite_preconditioner_stops_at_first_iteration(self, rng):
+        """A NaN from the preconditioner (e.g. a float32 V-cycle) raises at
+        once instead of running the whole budget on NaNs."""
+        a = _spd(rng, 12)
+        with pytest.raises(ConvergenceError, match="curvature") as info:
+            preconditioned_conjugate_gradient(
+                a,
+                rng.normal(size=12),
+                preconditioner=lambda r: np.full_like(r, np.nan),
+                max_iter=300,
+            )
+        assert info.value.iterations == 1
+        assert np.isfinite(info.value.residual)
+
+    def test_overflowing_step_stops_at_first_non_finite_residual(self):
+        # curvature 4e-320 is positive and finite, but the step overflows
+        with pytest.raises(ConvergenceError, match="non-finite") as info:
+            conjugate_gradient(1e-320 * np.eye(4), np.ones(4), max_iter=300)
+        assert info.value.iterations == 1
 
     def test_jacobi_preconditioner_validation(self):
         with pytest.raises(DataValidationError, match="positive diagonal"):

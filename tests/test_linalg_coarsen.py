@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from repro import obs
 from repro.datasets.synthetic import make_synthetic_dataset
 from repro.exceptions import (
     ConfigurationError,
@@ -28,7 +29,6 @@ from repro.kernels.bandwidth import paper_bandwidth_rule
 from repro.linalg.advanced import preconditioned_conjugate_gradient
 from repro.linalg.coarsen import (
     CoarseningHierarchy,
-    MatrixFreeMultigridPreconditioner,
     MultigridPreconditioner,
     aggregation_operator,
     build_hierarchy,
@@ -218,7 +218,7 @@ class TestMultigridPreconditioner:
         system = _soft_system(weights, 1.0, 10)
         with pytest.raises(ConfigurationError, match="at least one"):
             MultigridPreconditioner([], [])
-        with pytest.raises(ConfigurationError, match="prolongations"):
+        with pytest.raises(ConfigurationError, match="label arrays"):
             MultigridPreconditioner([system, system], [])
         with pytest.raises(ConfigurationError, match="omega"):
             MultigridPreconditioner.from_matrix(system, omega=1.5)
@@ -229,7 +229,7 @@ class TestMultigridPreconditioner:
         bad = sparse.diags([0.0, 1.0, 1.0, 1.0]).tocsr()
         p = aggregation_operator(np.array([0, 0, 1, 1]))
         with pytest.raises(DataValidationError, match="diagonal"):
-            MultigridPreconditioner([bad, (p.T @ bad @ p).tocsr()], [p])
+            MultigridPreconditioner([bad, (p.T @ bad @ p).tocsr()], [p.indices])
 
 
 class TestSolveMultigrid:
@@ -300,14 +300,21 @@ class TestWorkspaceMultigridBackend:
         data, graph = problem
 
         def stalled(*args, **kwargs):
-            raise ConvergenceError("stalled V-cycle", iterations=1, residual=1.0)
+            raise ConvergenceError("stalled V-cycle", iterations=7, residual=0.25)
 
-        monkeypatch.setattr(
-            workspace_module, "preconditioned_conjugate_gradient", stalled
-        )
+        monkeypatch.setattr(workspace_module, "pcg", stalled)
         ws = SolveWorkspace(graph.weights, backend="multigrid")
-        fit = ws.solve_soft(data.y_labeled, 5.0)
+        tracer = obs.RecordingTracer()
+        with obs.use_tracer(tracer):
+            fit = ws.solve_soft(data.y_labeled, 5.0)
         assert fit.details["fallback"] == "exact"
+        # the fallback keeps its cause, in the result and in the trace
+        assert fit.details["stall_iterations"] == 7
+        assert fit.details["stall_residual"] == 0.25
+        (span,) = [s for s in tracer.iter_spans() if s.name == "repro.workspace.solve"]
+        assert span.attributes["fallback"] == "exact"
+        assert span.attributes["stall_iterations"] == 7
+        assert span.attributes["stall_residual"] == 0.25
         exact = SolveWorkspace(graph.weights, backend="exact")
         np.testing.assert_allclose(
             fit.scores, exact.solve_soft(data.y_labeled, 5.0).scores, atol=1e-8
@@ -431,10 +438,8 @@ class TestMatrixFreeMultigridPreconditioner:
             systems.append(
                 (lam * level.laplacian + sparse.diags(mask, format="csr")).tocsr()
             )
-        reference = MultigridPreconditioner(
-            systems, [level.prolongation for level in assembled.levels]
-        )
-        precond = MatrixFreeMultigridPreconditioner(system, mf, lam, masks)
+        reference = MultigridPreconditioner(systems, assembled.labels)
+        precond = MultigridPreconditioner.from_hierarchy(system, mf, lam, masks)
         assert precond.n_levels == reference.n_levels
         rng = np.random.default_rng(4)
         for residual in rng.normal(size=(3, weights.shape[0])):
@@ -444,7 +449,7 @@ class TestMatrixFreeMultigridPreconditioner:
 
     def test_preconditioner_is_symmetric(self):
         _, system, mf, masks, lam, _ = self._setup(seed=23)
-        precond = MatrixFreeMultigridPreconditioner(system, mf, lam, masks)
+        precond = MultigridPreconditioner.from_hierarchy(system, mf, lam, masks)
         rng = np.random.default_rng(0)
         u, v = rng.normal(size=(2, 350))
         assert np.dot(precond(u), v) == pytest.approx(
@@ -453,8 +458,8 @@ class TestMatrixFreeMultigridPreconditioner:
 
     def test_float32_policy_stays_close_and_casts_back(self):
         _, system, mf, masks, lam, _ = self._setup(seed=29)
-        exact = MatrixFreeMultigridPreconditioner(system, mf, lam, masks)
-        mixed = MatrixFreeMultigridPreconditioner(
+        exact = MultigridPreconditioner.from_hierarchy(system, mf, lam, masks)
+        mixed = MultigridPreconditioner.from_hierarchy(
             system, mf, lam, masks, dtype_policy="float32"
         )
         rng = np.random.default_rng(5)
@@ -468,15 +473,15 @@ class TestMatrixFreeMultigridPreconditioner:
     def test_validation(self):
         _, system, mf, masks, lam, _ = self._setup(seed=31)
         with pytest.raises(ConfigurationError, match="omega"):
-            MatrixFreeMultigridPreconditioner(system, mf, lam, masks, omega=2.0)
+            MultigridPreconditioner.from_hierarchy(system, mf, lam, masks, omega=2.0)
         with pytest.raises(ConfigurationError, match="n_smooth"):
-            MatrixFreeMultigridPreconditioner(
+            MultigridPreconditioner.from_hierarchy(
                 system, mf, lam, masks, n_smooth=0
             )
         with pytest.raises(ConfigurationError, match="mask diagonals"):
-            MatrixFreeMultigridPreconditioner(system, mf, lam, masks[:-1])
+            MultigridPreconditioner.from_hierarchy(system, mf, lam, masks[:-1])
         with pytest.raises(ConfigurationError, match="dtype_policy"):
-            MatrixFreeMultigridPreconditioner(
+            MultigridPreconditioner.from_hierarchy(
                 system, mf, lam, masks, dtype_policy="float16"
             )
 
@@ -484,7 +489,7 @@ class TestMatrixFreeMultigridPreconditioner:
         weights = _random_graph(30, 33)
         system = _soft_system(weights, 1.0, 10)
         mf = build_matrix_free_hierarchy(weights, min_coarse_size=64)
-        precond = MatrixFreeMultigridPreconditioner(system, mf, 1.0, [])
+        precond = MultigridPreconditioner.from_hierarchy(system, mf, 1.0, [])
         assert precond.n_levels == 1
         rng = np.random.default_rng(2)
         rhs = rng.normal(size=30)

@@ -20,6 +20,7 @@ from repro.datasets.synthetic import make_synthetic_dataset
 from repro.exceptions import ConfigurationError, WorkspaceInvalidatedError
 from repro.graph.similarity import full_kernel_graph, knn_graph
 from repro.kernels.bandwidth import paper_bandwidth_rule
+from repro.linalg.coarsen import build_hierarchy
 from repro.linalg.solvers import SolveInfo, solve_spd
 from repro.linalg.workspace import SolveWorkspace
 
@@ -104,6 +105,23 @@ class TestContinuation:
         assert stats.pcg_solves >= 1
         assert stats.warm_starts >= 1
         assert stats.factor_misses < 5
+
+    @pytest.mark.parametrize("backend", ["multigrid", "factored"])
+    def test_sweep_never_mutates_earlier_scores(self, sparse_problem, backend):
+        """Each λ warm-starts CG from the previous λ's returned scores;
+        the in-place solver copies that start and never writes into it."""
+        data, graph = sparse_problem
+        ws = SolveWorkspace(graph.weights, backend=backend)
+        if backend == "multigrid":
+            # deeper than the workspace's 512-vertex floor, so real V-cycles run
+            ws._hierarchy = build_hierarchy(graph.weights, min_coarse_size=16)
+        fits, snapshots = [], []
+        for lam in (0.01, 0.1, 1.0, 10.0):
+            fits.append(ws.solve_soft(data.y_labeled, lam))
+            snapshots.append(fits[-1].scores.copy())
+            for fit, snapshot in zip(fits, snapshots):
+                np.testing.assert_array_equal(fit.scores, snapshot)
+        assert ws.stats().warm_starts >= 2
 
     def test_iterative_backend_reports_iterations_saved(self, problem):
         data, graph = problem

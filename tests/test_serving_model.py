@@ -143,6 +143,20 @@ class TestCountersAndState:
         model.predict(queries, method="exact")
         assert model.stats().exact_iterations > before
 
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_exact_insertion_leaves_fitted_scores_untouched(self, lam):
+        """Insertions start CG from the fitted scores; the in-place
+        solver copies that start and never writes into it."""
+        rng = np.random.default_rng(11)
+        data = make_regression_dataset(25, 75, seed=rng)
+        model = GraphSSLModel(lam=lam, graph="full")
+        model.fit(data.x_labeled, data.y_labeled, data.x_unlabeled)
+        before = model.scores_.copy()
+        model.predict(
+            truncated_mvn_inputs(4, seed=rng), method="exact", return_interval=lam == 0.0
+        )
+        np.testing.assert_array_equal(model.scores_, before)
+
     def test_pickle_roundtrip_drops_factorizations(self, fitted):
         import pickle
 
