@@ -13,10 +13,15 @@ Both sparsifiers support two construction routes:
 * ``construction="dense"`` — the historical route: materialize the full
   ``(N, N)`` pairwise-distance and kernel matrices, then zero the pruned
   entries.  Exact, but ``O(N^2)`` memory.
-* ``construction="neighbors"`` — query a ``scipy.spatial.cKDTree`` for
-  the neighbour lists and assemble the CSR weight matrix directly from
-  the surviving edges.  The ``(N, N)`` dense matrix is *never allocated*;
-  memory is ``O(N k)`` for knn graphs and ``O(nnz)`` for epsilon graphs.
+* ``construction="neighbors"`` — compute exact neighbour lists and
+  assemble the CSR weight matrix directly from the surviving edges.  The
+  ``(N, N)`` dense matrix is *never allocated*; memory is ``O(N k)`` for
+  knn graphs and ``O(nnz)`` for epsilon graphs.  Epsilon balls come from
+  a ``scipy.spatial.cKDTree`` range query.  kNN lists come from one of
+  two exact engines, chosen by the input dimension ``d``: a
+  ``cKDTree`` query below :data:`KNN_GEMM_MIN_DIM` columns, and blocked
+  GEMM top-k at and above it, where the tree degrades toward a slower
+  brute force (crossover table in ``docs/SCALING.md``).
 * ``construction="auto"`` (default) — ``"dense"`` for small inputs where
   the dense BLAS route is fastest, ``"neighbors"`` beyond
   :data:`DENSE_CONSTRUCTION_MAX` vertices.
@@ -29,11 +34,15 @@ The exact routes produce the same graph (verified to floating-point
 agreement by the parity and property suites in
 ``tests/test_sparse_dense_parity.py`` and
 ``tests/test_property_based_sparse_graph.py``), including under tied
-distances: both break ties deterministically toward the *smallest
-vertex index*.  The dense route uses a stable argsort; the kd-tree
-route detects rows whose k-th-neighbour distance is tied across the
-query boundary (``cKDTree`` returns an arbitrary member of a tie set)
-and re-resolves exactly those rows with an exact ball query.
+distances: every exact route ranks neighbours by direct differences
+``||x_i - x_j||^2`` and breaks ties deterministically toward the
+*smallest vertex index*.  The dense route uses a stable argsort; the
+kd-tree engine detects rows whose k-th-neighbour distance is tied across
+the query boundary (``cKDTree`` returns an arbitrary member of a tie
+set) and re-resolves exactly those rows with an exact ball query; the
+blocked-GEMM engine uses the norm expansion only as a filter and
+re-ranks every row exactly, with a rounding bound deciding which rows
+need a wider exact pass.
 """
 
 from __future__ import annotations
@@ -66,6 +75,19 @@ __all__ = [
 #: (where one BLAS gemm beats a tree query) and the neighbour route above
 #: it (where the ``(N, N)`` allocation starts to dominate).
 DENSE_CONSTRUCTION_MAX = 512
+
+#: The exact neighbour route finds kNN lists with the kd-tree below this
+#: many input columns and with blocked GEMM top-k at and above it, where
+#: the tree degrades toward brute force (crossover table in
+#: ``docs/SCALING.md``).
+KNN_GEMM_MIN_DIM = 16
+
+#: Bytes of the blocked-GEMM engine's reused distance buffer (and of each
+#: chunk of direct differences).  Kept small: peak memory grows with it.
+_GEMM_BLOCK_BYTES = 2 << 20
+
+#: Candidates the blocked-GEMM engine re-ranks exactly beyond the k-th.
+_GEMM_MARGIN = 8
 
 
 def _resolve_construction(
@@ -289,18 +311,17 @@ def full_kernel_graph(
 def _knn_dense(x, k, kernel, bandwidth, mode) -> sparse.csr_matrix:
     """Historical O(N^2) route: full kernel matrix, then prune.
 
-    Neighbour selection uses a *stable* argsort so tied distances break
-    deterministically toward the smallest vertex index — matching the
-    neighbour route's tie handling (exact duplicates previously selected
-    an arbitrary member of the tie set via ``argpartition``).
+    The kept neighbours are the exact lists of :func:`_knn_blocked_gemm`
+    (ranked by direct differences, ties toward the smallest vertex
+    index), not a sort of the norm-expansion matrix behind the weights:
+    that expansion can put bitwise-identical copies of a point at
+    distances an ulp apart and so keep the wrong member of a tie set.
     """
     n = x.shape[0]
     sq = pairwise_sq_distances(x)
     weights = kernel.profile(np.sqrt(sq) / bandwidth)
 
-    with_self_inf = sq.copy()
-    np.fill_diagonal(with_self_inf, np.inf)
-    neighbour_idx = np.argsort(with_self_inf, axis=1, kind="stable")[:, :k]
+    _, neighbour_idx = _knn_blocked_gemm(x, k)
     selected = np.zeros((n, n), dtype=bool)
     rows = np.repeat(np.arange(n), k)
     selected[rows, neighbour_idx.ravel()] = True
@@ -312,17 +333,33 @@ def _knn_dense(x, k, kernel, bandwidth, mode) -> sparse.csr_matrix:
     return sparse.csr_matrix(np.where(keep, weights, 0.0))
 
 
-def _knn_neighbor_lists(x, k) -> tuple[np.ndarray, np.ndarray]:
-    """Exact k-nearest-neighbour lists with deterministic tie handling.
+def _pair_sq_distances(x, rows, cols) -> np.ndarray:
+    """Squared distances ``||x[rows] - x[cols]||^2`` by direct differences.
 
-    Returns ``(dist, idx)`` of shape ``(n, k)``, each row sorted by
-    ``(distance, index)`` and excluding the vertex itself.  ``cKDTree``
-    returns an *arbitrary* member of a tie set at the query boundary
-    (so a true neighbour could silently be dropped under exact
+    The one distance rule every exact route ranks by: unlike
+    the norm expansion ``|a|^2 + |b|^2 - 2 a.b`` it gives an exact twin
+    distance ``0`` and bitwise-equal values for bitwise-equal pairs, so
+    ``(distance, index)`` order is well defined under duplicates.  Pairs
+    are processed in chunks of at most :data:`_GEMM_BLOCK_BYTES` of
+    differences.
+    """
+    out = np.empty(rows.size)
+    step = max(1, _GEMM_BLOCK_BYTES // (8 * x.shape[1]))
+    for lo in range(0, rows.size, step):
+        diff = x[rows[lo : lo + step]] - x[cols[lo : lo + step]]
+        out[lo : lo + step] = np.einsum("ij,ij->i", diff, diff)
+    return out
+
+
+def _knn_kdtree(x, k) -> tuple[np.ndarray, np.ndarray]:
+    """Exact neighbour lists from a ``cKDTree`` query (the low-d engine).
+
+    ``cKDTree`` returns an *arbitrary* member of a tie set at the query
+    boundary (so a true neighbour could silently be dropped under exact
     duplicates); this queries one extra neighbour to detect boundary
     ties and re-resolves exactly the affected rows with a ball query,
-    keeping the smallest-index member of every tie — the same rule as
-    the dense route's stable argsort.
+    ranking the ball by direct differences (:func:`_pair_sq_distances`)
+    and keeping the smallest-index member of every tie.
     """
     n = x.shape[0]
     tree = cKDTree(x)
@@ -364,19 +401,111 @@ def _knn_neighbor_lists(x, k) -> tuple[np.ndarray, np.ndarray]:
             if ball.size < k:  # pragma: no cover - extreme rounding
                 ball = np.delete(np.arange(n, dtype=np.intp), i)
             exact = np.sqrt(
-                pairwise_sq_distances(x[i : i + 1], x[ball])
-            ).ravel()
+                _pair_sq_distances(x, np.full(ball.size, i), ball)
+            )
             best = np.lexsort((ball, exact))[:k]
             neighbour_idx[i] = ball[best]
             neighbour_dist[i] = exact[best]
     return neighbour_dist, neighbour_idx
 
 
+def _knn_blocked_gemm(x, k) -> tuple[np.ndarray, np.ndarray]:
+    """Exact neighbour lists by blocked GEMM top-k (the high-d engine).
+
+    Same contract as :func:`_knn_kdtree`.  One block of rows at a time,
+    ``|b|^2 - 2 a.b`` (the norm expansion of ``|a - b|^2`` less the row
+    constant ``|a|^2``) goes into a reused buffer of at most
+    :data:`_GEMM_BLOCK_BYTES`; ``argpartition`` keeps the
+    ``k + _GEMM_MARGIN`` smallest as candidates, which are re-ranked by
+    direct differences in ``(distance, index)`` order.  The GEMM values
+    are only a filter: a row is accepted when the first excluded GEMM
+    value clears the k-th exact distance by the GEMM rounding bound, so
+    no excluded point can beat or tie it.  Rows that fail the test (ties
+    spilling past the margin) are re-ranked exactly over every point the
+    bound cannot exclude, vectorized over the block.
+    """
+    n, d = x.shape
+    c = min(n - 1, k + _GEMM_MARGIN)
+    sq_norms = np.einsum("ij,ij->i", x, x)
+    if not np.isfinite(4.0 * sq_norms.max()):
+        raise DataValidationError(
+            "knn graph: squared distances overflow float64 on these inputs "
+            "(max |x_i|^2 = inf or near it); rescale the coordinates"
+        )
+    # |computed - true| of one expansion entry is at most
+    # gamma (|a| + |b|)^2 (dot-product bound with a safety factor of 2),
+    # plus underflow; ``slack`` bounds it for every j at once.
+    gamma = (d + 4) * np.finfo(np.float64).eps
+    norms = np.sqrt(sq_norms)
+    slack = gamma * (norms + norms.max()) ** 2 + d * np.finfo(np.float64).tiny
+
+    rows_per_block = max(1, _GEMM_BLOCK_BYTES // (8 * n))
+    buffer = np.empty((min(rows_per_block, n), n))
+    neighbour_dist = np.empty((n, k))
+    neighbour_idx = np.empty((n, k), dtype=np.intp)
+    for start in range(0, n, rows_per_block):
+        rows = np.arange(start, min(start + rows_per_block, n))
+        local = np.arange(rows.size)
+        gemm = buffer[: rows.size]
+        np.matmul(-2.0 * x[rows[0] : rows[-1] + 1], x.T, out=gemm)
+        gemm += sq_norms
+        gemm[local, rows] = np.inf  # self sorts last: when c = n - 1 it is the boundary
+        part = np.argpartition(gemm, c, axis=1)
+        boundary = gemm[local, part[:, c]] + sq_norms[rows]
+        cand = part[:, :c]
+        exact = _pair_sq_distances(
+            x, np.repeat(rows, c), cand.ravel()
+        ).reshape(rows.size, c)
+        best = np.lexsort((cand, exact))[:, :k]
+        top_sq = np.take_along_axis(exact, best, axis=1)
+        top_idx = np.take_along_axis(cand, best, axis=1)
+
+        # Any point whose exact distance could reach the k-th one has an
+        # expansion value (buffer + |a|^2) at most ``reach``; certified
+        # rows excluded none of them.
+        reach = top_sq[:, -1] * (1.0 + 2.0 * gamma) + slack[rows]
+        doubtful = np.flatnonzero(~(boundary - slack[rows] > reach))
+        if doubtful.size:
+            limit = reach[doubtful] - sq_norms[rows[doubtful]]
+            mask = gemm[doubtful] <= limit[:, None]
+            mask[np.arange(doubtful.size)[:, None], top_idx[doubtful]] = True
+            pair_row, pair_col = np.nonzero(mask)
+            pair_sq = _pair_sq_distances(x, rows[doubtful][pair_row], pair_col)
+            order = np.lexsort((pair_col, pair_sq, pair_row))
+            first = np.concatenate(([0], np.cumsum(mask.sum(axis=1))[:-1]))
+            take = order[first[:, None] + np.arange(k)]
+            top_sq[doubtful] = pair_sq[take]
+            top_idx[doubtful] = pair_col[take]
+        neighbour_dist[rows] = np.sqrt(top_sq)
+        neighbour_idx[rows] = top_idx
+    return neighbour_dist, neighbour_idx
+
+
+def _knn_engine(d: int) -> str:
+    """Which exact neighbour engine :func:`_knn_neighbor_lists` runs."""
+    return "blocked_gemm" if d >= KNN_GEMM_MIN_DIM else "kdtree"
+
+
+def _knn_neighbor_lists(x, k) -> tuple[np.ndarray, np.ndarray]:
+    """Exact k-nearest-neighbour lists with deterministic tie handling.
+
+    Returns ``(dist, idx)`` of shape ``(n, k)``, each row sorted by
+    ``(distance, index)`` and excluding the vertex itself; of a tie set
+    the smallest-index members are kept — the same rule as the dense
+    route's stable argsort.  The engine is picked by the input
+    dimension (:func:`_knn_engine`): the kd-tree below
+    :data:`KNN_GEMM_MIN_DIM` columns, blocked GEMM at and above it.
+    """
+    if _knn_engine(x.shape[1]) == "blocked_gemm":
+        return _knn_blocked_gemm(x, k)
+    return _knn_kdtree(x, k)
+
+
 def _assemble_knn_csr(
     n, neighbour_idx, neighbour_dist, kernel, bandwidth, mode
 ) -> sparse.csr_matrix:
     """CSR weight matrix from directed neighbour lists (shared by the
-    exact kd-tree route, the approximate route, and the bandwidth
+    exact neighbour route, the approximate route, and the bandwidth
     search's sparse path)."""
     k = neighbour_idx.shape[1]
     data = kernel.profile(neighbour_dist.ravel() / bandwidth)
@@ -445,7 +574,7 @@ def _validate_knn_rows(
 
 
 def _knn_neighbors(x, k, kernel, bandwidth, mode) -> sparse.csr_matrix:
-    """Densification-free route: kd-tree neighbour queries straight to CSR."""
+    """Densification-free route: exact neighbour lists straight to CSR."""
     neighbour_dist, neighbour_idx = _knn_neighbor_lists(x, k)
     return _assemble_knn_csr(
         x.shape[0], neighbour_idx, neighbour_dist, kernel, bandwidth, mode
@@ -480,9 +609,12 @@ def knn_graph(
     Surviving edges carry the kernel weight of the full graph, and kernel
     self-weights sit on the diagonal to mirror the full graph's degree
     convention.  ``construction`` picks the dense (``O(N^2)`` memory) or
-    kd-tree neighbour route (``O(N k)``, never allocating an ``(N, N)``
-    array); ``"auto"`` switches to neighbours above
-    :data:`DENSE_CONSTRUCTION_MAX` vertices.  Both exact routes build the
+    neighbour route (``O(N k)``, never allocating an ``(N, N)`` array);
+    ``"auto"`` switches to neighbours above :data:`DENSE_CONSTRUCTION_MAX`
+    vertices.  ``"neighbors"`` means exact neighbour lists, found by
+    kd-tree below :data:`KNN_GEMM_MIN_DIM` input columns and by blocked
+    GEMM top-k at and above it; the span attribute ``engine`` names the
+    one that ran.  Both exact routes build the
     same graph, with ties broken deterministically toward the smallest
     vertex index.  ``construction="approx"`` uses random-projection-tree
     approximate neighbour lists (:mod:`repro.graph.approx`) at the
@@ -518,6 +650,7 @@ def knn_graph(
                 n, neighbour_idx, neighbour_dist, kernel, bandwidth, mode
             )
         else:
+            span.set_attribute("engine", _knn_engine(x.shape[1]))
             sparse_weights = _knn_neighbors(x, k, kernel, bandwidth, mode)
         _validate_knn_rows(sparse_weights, k, mode=mode)
         probes.record_graph_stats(span, sparse_weights)

@@ -293,12 +293,16 @@ class TestKnnTieDeterminism:
     """Regression tests for the kd-tree neighbour-drop bug: under
     duplicated rows or tied distances, the kd-tree route could keep an
     arbitrary member of the tied set and disagree with the dense route.
-    Both routes now break ties deterministically by smallest index."""
+    Both routes now break ties deterministically by smallest index.
+    :class:`TestKnnTieDeterminismD32` reruns the class in d=32."""
 
-    def _duplicated_cloud(self, seed=0, n_unique=40, n_copies=3):
+    D = 2
+    N_COPIES = 3
+
+    def _duplicated_cloud(self, seed=0, n_unique=40, n_copies=None):
         rng = np.random.default_rng(seed)
-        unique = rng.normal(size=(n_unique, 2))
-        return np.vstack([unique] * n_copies)
+        unique = rng.normal(size=(n_unique, self.D))
+        return np.vstack([unique] * (n_copies or self.N_COPIES))
 
     def test_dense_and_neighbors_agree_on_duplicates(self):
         x = self._duplicated_cloud()
@@ -355,3 +359,16 @@ class TestKnnTieDeterminism:
         x = np.vstack([np.zeros((3, 2)), np.random.default_rng(0).normal(size=(5, 2))])
         with pytest.raises(DataValidationError, match=r"vertices \[0, 1, 2\]"):
             local_scaling_graph(x, k=2)
+
+
+class TestKnnTieDeterminismD32(TestKnnTieDeterminism):
+    """The same tie cases in d=32, with 6 copies of every point by default.
+
+    There the kd-tree's tie re-resolution used to rank a ball by the norm
+    expansion, which puts an exact twin at ~1e-7 instead of 0 and keeps the
+    wrong member of a tie set; and d=32 is at or above
+    ``KNN_GEMM_MIN_DIM``, so ``construction="neighbors"`` also exercises
+    the blocked-GEMM engine."""
+
+    D = 32
+    N_COPIES = 6

@@ -195,6 +195,42 @@ class TestNoDenseAllocation:
         # union symmetrization: at most N self-loops + 2 N k directed edges
         assert graph.weights.nnz <= self.N + 2 * self.N * 8
 
+    def test_blocked_gemm_engine_never_densifies(self, monkeypatch):
+        # d=64 routes the exact neighbour lists through the blocked-GEMM
+        # engine; the same guard holds, and the kd-tree is poisoned so the
+        # test cannot pass through the low-d engine.
+        import repro.graph.similarity as similarity
+
+        budget = self.N * self.N // 4
+
+        def guarded(allocator):
+            def wrapper(shape, *args, **kwargs):
+                size = int(np.prod(np.atleast_1d(shape)))
+                assert size < budget, (
+                    f"dense allocation of shape {shape} on the neighbor path"
+                )
+                return allocator(shape, *args, **kwargs)
+
+            return wrapper
+
+        def poisoned(*args, **kwargs):
+            raise AssertionError(
+                "an O(N^2) kernel or the kd-tree was called on the "
+                "blocked-GEMM neighbor path"
+            )
+
+        monkeypatch.setattr(similarity, "pairwise_sq_distances", poisoned)
+        monkeypatch.setattr(similarity, "cKDTree", poisoned)
+        monkeypatch.setattr(np, "empty", guarded(np.empty))
+        monkeypatch.setattr(np, "zeros", guarded(np.zeros))
+        monkeypatch.setattr(np, "ones", guarded(np.ones))
+
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(self.N, 64))
+        graph = knn_graph(x, k=8, bandwidth=8.0, construction="neighbors")
+        assert graph.is_sparse
+        assert graph.weights.nnz <= self.N + 2 * self.N * 8
+
     def test_auto_picks_neighbors_at_scale(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(600, 2))
