@@ -1,16 +1,17 @@
 """Bench: the N=10⁵ pipeline — approximate kNN build + multigrid λ-sweep.
 
-The scaling wall this PR removes is twofold.  First, graph construction:
-the dense O(N²) route is out of reach long before 10⁵ and even exact
-kd-tree queries degrade with dimension; the RP-tree route
-(:mod:`repro.graph.approx`) is measured against the exact build with its
-recall printed.  Second, the sweep: in d=3 the ``splu`` fill-in of one
-soft-system factorization crosses ~80 s at N=10⁵, so both the ``exact``
-backend (one factorization per grid point) and the ``factored`` backend
-(one anchor factorization + warm-started PCG) pay it, while the
-``multigrid`` backend builds a λ-independent coarsening hierarchy in
-~1 s and solves each grid point in a handful of V-cycle-preconditioned
-CG iterations.
+The scaling wall this bench measures is twofold.  First, graph
+construction: the dense O(N²) route is out of reach long before 10⁵
+and even exact kd-tree queries degrade with dimension; the RP-tree
+route (:mod:`repro.graph.approx`) is measured against the exact build
+with its recall printed.  Second, the sweep: in d=3 the ``splu``
+fill-in of one soft-system factorization crosses ~80 s at N=10⁵, so the
+``exact`` backend (one factorization per grid point) pays it at every
+λ, while the ``multigrid`` backend builds a λ-independent coarsening
+hierarchy in ~1 s and solves each grid point in a handful of
+V-cycle-preconditioned CG iterations.  The default ``auto`` backend
+must resolve to that multigrid path here (N is far above the Woodbury
+crossover and n_labeled = N/20 exceeds the Woodbury cap).
 
 Scales: ``quick`` (default) runs N=2·10⁴ including the per-point exact
 sweep; ``REPRO_BENCH_SCALE=paper`` runs N=10⁵ and drops the exact sweep
@@ -18,8 +19,10 @@ sweep; ``REPRO_BENCH_SCALE=paper`` runs N=10⁵ and drops the exact sweep
 factorization fill-in stays nearly linear and the comparison would
 flatter nobody — see docs/SCALING.md.
 
-Acceptance guards: the multigrid sweep beats the factored sweep ≥ 3x,
-its endpoint scores match the factored sweep, approximate-kNN recall at
+Acceptance guards: ``auto`` runs every grid point on the multigrid path
+with no workspace factorization and returns the multigrid sweep's
+scores bit for bit; at quick scale the multigrid sweep beats the exact
+sweep ≥ 3x and its endpoint scores match it; approximate-kNN recall at
 the default knob is ≥ 0.95, and soft-criterion scores on the
 approximate graph match the exact graph within 1e-2 RMS over vertices
 (the max-norm is reported alongside: it is dominated by the single
@@ -52,8 +55,8 @@ D = 3
 K = 10
 GRID = tuple(float(lam) for lam in np.logspace(-3, 2, 20))
 
-#: Acceptance floor: the coarsening-preconditioned sweep vs the
-#: factored (anchored-splu + warm-started PCG) sweep.
+#: Acceptance floor: the coarsening-preconditioned sweep vs the exact
+#: (one splu per grid point) sweep, at quick scale.
 MIN_MULTIGRID_SPEEDUP = 3.0
 
 #: Acceptance floors for the approximate construction.
@@ -86,7 +89,7 @@ BUDGET_FRACTION = 0.40
 HIERARCHY_RETAINED_FRACTION = 0.40
 
 #: Float32 smoothing changes the preconditioner, not the answer: the
-#: outer CG still converges in float64 to ``pcg_tol``, so converged
+#: outer CG still converges in float64 to ``PCG_TOL``, so converged
 #: scores agree with the float64 policy to well below this RMS tier
 #: (observed ~1e-15 at N=2·10⁵; documented in docs/SCALING.md).
 FLOAT32_MAX_RMS = 1e-9
@@ -193,7 +196,8 @@ def _make_problem(n: int):
 def _sweep(weights, y, backend):
     workspace = SolveWorkspace(weights, backend=backend)
     fits = workspace.sweep_soft(y, GRID)
-    return [fit.scores for fit in fits], workspace.stats()
+    methods = {fit.solve_info.method for fit in fits}
+    return [fit.scores for fit in fits], workspace.stats(), methods
 
 
 def test_bench_large_n(bench, results_dir):
@@ -219,9 +223,9 @@ def test_bench_large_n(bench, results_dir):
     # λ-sweeps over the exact graph
     # ------------------------------------------------------------------
     weights = exact_graph.weights
-    factored, rec_factored = bench.measure(
-        f"large_n_sweep_factored_n{N}",
-        lambda: _sweep(weights, y, "factored"),
+    auto, rec_auto = bench.measure(
+        f"large_n_sweep_auto_n{N}",
+        lambda: _sweep(weights, y, "auto"),
         repeats=1,
         profile=False,
     )
@@ -235,13 +239,15 @@ def test_bench_large_n(bench, results_dir):
         ["knn exact", f"{rec_knn.min_s * 1e3:.0f}", "-", "-"],
         ["knn approx", f"{rec_approx.min_s * 1e3:.0f}", "-",
          f"recall {recall:.4f}"],
-        ["sweep factored", f"{rec_factored.min_s * 1e3:.0f}",
-         f"{len(GRID)}", f"reanchors {factored[1].reanchors}"],
+        ["sweep auto", f"{rec_auto.min_s * 1e3:.0f}",
+         f"{len(GRID)}", f"path {'/'.join(sorted(auto[2]))}"],
         ["sweep multigrid", f"{rec_multigrid.min_s * 1e3:.0f}",
          f"{len(GRID)}",
          f"{multigrid[1].pcg_iterations} PCG iters, "
          f"{multigrid[1].coarsen_builds} hierarchy build"],
     ]
+    records = [rec_knn, rec_approx, rec_auto, rec_multigrid]
+    exact = None
     if SCALE != "paper":
         # 20 per-point factorizations are feasible at quick scale only
         # (at N=1e5, d=3 each splu costs ~80 s).
@@ -255,19 +261,23 @@ def test_bench_large_n(bench, results_dir):
             ["sweep exact", f"{rec_exact.min_s * 1e3:.0f}",
              f"{len(GRID)}", f"{exact[1].factor_misses} factorizations"]
         )
-        rec_exact.write_json(results_dir / f"{rec_exact.name}.json")
+        records.append(rec_exact)
+        speedup = rec_exact.min_s / rec_multigrid.min_s
 
-    for rec in (rec_knn, rec_approx, rec_factored, rec_multigrid):
+    for rec in records:
         rec.write_json(results_dir / f"{rec.name}.json")
 
-    speedup = rec_factored.min_s / rec_multigrid.min_s
     table = ascii_table(["leg", "time (ms)", "grid", "notes"], rows)
+    gate = (
+        f"multigrid speedup over exact: {speedup:.2f}x "
+        f"(acceptance >= {MIN_MULTIGRID_SPEEDUP:.0f}x); "
+        if exact is not None
+        else ""
+    )
     summary = (
         f"large-N pipeline at N={N}, d={D}, k={K} "
         f"(20-point log lambda grid)\n{table}\n"
-        f"multigrid speedup over factored: {speedup:.2f}x "
-        f"(acceptance >= {MIN_MULTIGRID_SPEEDUP:.0f}x); "
-        f"approx recall {recall:.4f} "
+        f"{gate}approx recall {recall:.4f} "
         f"(acceptance >= {MIN_APPROX_RECALL})"
     )
     publish(results_dir, f"large_n_pipeline_n{N}", summary)
@@ -276,17 +286,26 @@ def test_bench_large_n(bench, results_dir):
     # Acceptance guards
     # ------------------------------------------------------------------
     assert recall >= MIN_APPROX_RECALL
-    assert speedup >= MIN_MULTIGRID_SPEEDUP
 
-    # The two sweeps must agree at both ends of the grid.
-    factored_scores, _ = factored
-    multigrid_scores, _ = multigrid
-    np.testing.assert_allclose(
-        multigrid_scores[0], factored_scores[0], atol=1e-6, rtol=0
-    )
-    np.testing.assert_allclose(
-        multigrid_scores[-1], factored_scores[-1], atol=1e-6, rtol=0
-    )
+    # auto resolves to the multigrid path: same solves, same scores.
+    auto_scores, auto_stats, auto_methods = auto
+    multigrid_scores, _, _ = multigrid
+    assert auto_methods == {"multigrid_pcg"}, auto_methods
+    assert auto_stats.factor_misses == 0
+    for auto_fit, multigrid_fit in zip(auto_scores, multigrid_scores):
+        np.testing.assert_array_equal(auto_fit, multigrid_fit)
+
+    if exact is not None:
+        assert speedup >= MIN_MULTIGRID_SPEEDUP
+        # The multigrid sweep agrees with per-point factorizations at
+        # both ends of the grid.
+        exact_scores = exact[0]
+        np.testing.assert_allclose(
+            multigrid_scores[0], exact_scores[0], atol=1e-6, rtol=0
+        )
+        np.testing.assert_allclose(
+            multigrid_scores[-1], exact_scores[-1], atol=1e-6, rtol=0
+        )
 
     # ------------------------------------------------------------------
     # Recall/accuracy trade-off: sweep the knob, solve one mid-grid λ on

@@ -59,6 +59,7 @@ import argparse
 import os
 import sys
 
+from repro.experiments.amortize import SWEEP_BACKEND_CHOICES
 from repro.experiments.report import ascii_table, format_sweep_result, write_csv
 
 __all__ = ["main", "build_parser"]
@@ -815,15 +816,15 @@ def build_parser() -> argparse.ArgumentParser:
     def sweep_backend_flag(p):
         p.add_argument(
             "--sweep-backend",
-            choices=("direct", "exact", "factored", "spectral", "multigrid"),
+            choices=SWEEP_BACKEND_CHOICES,
             default="direct",
             help="how lambda sweeps are solved: 'direct' refactorizes "
             "per grid point (bit-identical historical path); 'exact' "
-            "caches factorizations; 'factored' reuses one anchored "
-            "factorization with warm-started PCG; 'spectral' sweeps "
-            "through the Laplacian eigenbasis; 'multigrid' uses "
-            "coarsening-preconditioned CG, the N>=1e5 choice (see "
-            "docs/SCALING.md)",
+            "caches factorizations; 'multigrid' uses "
+            "coarsening-preconditioned CG, the N>=1e5 choice; 'auto' "
+            "runs the Woodbury continuation off one factorization below "
+            "the measured crossover (small labeled block, N<1e4) and "
+            "multigrid above it (see docs/SCALING.md)",
         )
         p.add_argument(
             "--dtype-policy",

@@ -89,8 +89,8 @@ def solve_soft_criterion(
     workspace:
         Optional :class:`~repro.linalg.workspace.SolveWorkspace` built on
         this graph.  When given, the solve is routed through the
-        workspace's cached factorizations / eigenbasis / continuation
-        state (``method`` and ``solver`` are ignored; the workspace's
+        workspace's cached factorizations / continuation state
+        (``method`` and ``solver`` are ignored; the workspace's
         backend decides), amortizing repeated solves across a sweep.
     """
     if workspace is not None:

@@ -142,7 +142,7 @@ def run_lambda_curve(
 
     ``sweep_backend`` selects how each replicate's grid is solved:
     ``"direct"`` (per-point, bit-identical to previous releases) or a
-    workspace backend (``"exact"``/``"factored"``/``"spectral"``) that
+    workspace backend (``"exact"``/``"auto"``/``"multigrid"``) that
     amortizes factorizations across the grid.
     """
     if lambdas[0] != 0.0 or list(lambdas[1:]) != sorted(set(lambdas[1:])):

@@ -13,7 +13,7 @@ Three classical methods for ``A x = b``:
 :func:`pcg` is the one conjugate-gradient recurrence in the library:
 :func:`conjugate_gradient` runs it unpreconditioned, and
 :func:`~repro.linalg.advanced.preconditioned_conjugate_gradient`, the
-solve workspace's anchored and multigrid sweeps and the serving layer's
+solve workspace's multigrid sweep and the serving layer's
 exact insertions run it with their own preconditioners.
 
 Each returns an :class:`IterativeResult` carrying the solution, iteration

@@ -5,34 +5,12 @@ same family of systems ``(V + λL) f = (y; 0)`` over one *fixed*
 similarity graph, yet the historical hot path reassembled and
 refactorized from scratch at every grid point.  :class:`SolveWorkspace`
 owns a graph's Laplacian blocks once and amortizes everything that is
-shared across the sweep:
+shared across the sweep, through one of three backends
+(:data:`SWEEP_BACKENDS`):
 
 * **exact** — an LRU cache of true SPD factorizations keyed by
   ``(kind, λ, n_labeled)``; a cache hit returns bit-identical solutions
   to refactorizing, so strict/golden paths can reuse safely.
-* **factored** (default) — one *anchor* factorization serves the whole
-  λ grid.  When the labeled block is small (``n_labeled ≤ min(512,
-  N/4)``) this is *direct*: ``A(λ) = (λ/λ₀)A(λ₀) + (1-λ/λ₀)EEᵀ`` is a
-  rank-``n_labeled`` update of the anchor, so Sherman–Morrison–Woodbury
-  turns every further grid point into one back-substitution plus an
-  ``n_labeled``-sized capacitance solve — no iterations, refined
-  against the assembled operator to the CG tolerance.  Otherwise each
-  new λ is solved by preconditioned CG with the anchor as
-  preconditioner, warm-started from the previous grid point's solution
-  (continuation).  The generalized Rayleigh quotient of ``(V + λL)``
-  against ``(V + λ₀L)`` lies in ``[min(1, λ/λ₀), max(1, λ/λ₀)]``, so
-  nearby grid points converge in a handful of back-substitutions; when
-  the iteration budget is exceeded the workspace refactorizes at the
-  current λ and re-anchors.  Either way solutions match direct solves
-  to the CG tolerance (default ``1e-10`` relative, validated at
-  ``atol=1e-8`` in the parity suite).
-* **spectral** — a (truncated or full) eigendecomposition of ``L`` turns
-  each additional λ into a ``k×k`` Galerkin solve plus one ``O(N·k)``
-  basis multiply: with ``U_k`` the smoothest eigenvectors, ``B = U_k[:n]``
-  and ``G = BᵀB``, the coefficients solve ``(G + λ Λ_k) a = Bᵀy`` and
-  ``f = U_k a``.  With the *full* basis this is exact up to roundoff
-  (cf. Hoffmann et al.'s probit/one-hot computations in the Laplacian
-  eigenbasis); truncation trades accuracy for speed.
 * **multigrid** — no large factorization at any point: a λ-independent
   graph-coarsening hierarchy (:mod:`repro.linalg.coarsen`, heavy-edge
   matching) is built once per workspace, and each λ is solved by
@@ -44,20 +22,28 @@ shared across the sweep:
   assembled CSR matrices re-assembled in O(nnz) per grid point, or
   matrix-free operators ``v_l·v + λ·Pᵀ(L₀(Pv))`` applied through the
   fine Laplacian.  This is the backend that scales past the splu
-  fill-in wall (N ≈ 10⁴ in d ≥ 3) to N = 10⁵⁺; solutions match direct
-  solves to the CG tolerance, with an exact-factorization fallback if
-  the V-cycle ever stalls (the stall's iterations and residual are
-  kept in the result details).
+  fill-in wall (N ≈ 10⁴ in d ≥ 3) to N = 10⁵⁺.
+* **auto** (default) — chooses per labeled mask from the input.  When
+  the labeled block is small (``n_labeled ≤ min(512, N/4)``) and the
+  graph has fewer than :data:`WOODBURY_MAX_VERTICES` vertices, one
+  *anchor* factorization serves the whole grid directly:
+  ``A(λ) = (λ/λ₀)A(λ₀) + (1-λ/λ₀)EEᵀ`` is a rank-``n_labeled`` update
+  of the anchor, so Sherman–Morrison–Woodbury turns every further grid
+  point into one back-substitution plus an ``n_labeled``-sized
+  capacitance solve, refined against the assembled operator to
+  :data:`PCG_TOL`.  Otherwise it runs the multigrid path.  The
+  threshold is the measured crossover of the two
+  (``benchmarks/results/lambda_sweep.txt``, docs/SCALING.md).
 
-The anchored (``factored``) and ``multigrid`` sweeps both run the
+Both iterative paths match direct solves to :data:`PCG_TOL` (validated
+at ``atol=1e-8`` in the parity suite).  When one cannot reach it — a
+Woodbury refinement that stalls, a V-cycle PCG that exceeds its budget —
+the workspace factorizes at that λ instead and records
+``details["fallback"] = "exact"`` with the cause, on the result and on
+the ``repro.workspace.solve`` span.  The multigrid sweep runs the
 library's single CG recurrence, :func:`~repro.linalg.iterative.pcg`,
 which copies the warm start instead of writing into the previous grid
 point's returned scores.
-
-Iterative backends (``"cg"``, ``"jacobi"``, ``"gauss_seidel"``) are also
-supported and warm-started from the previous solution in the sweep, with
-the iterations saved relative to the sweep's cold first solve reported in
-:class:`~repro.linalg.solvers.SolveInfo`.
 
 A workspace fingerprints its weight matrix at construction and re-checks
 the fingerprint before serving any cached artifact: mutating the graph
@@ -95,7 +81,7 @@ from repro.linalg.coarsen import (
     build_matrix_free_hierarchy,
 )
 from repro.linalg.iterative import pcg
-from repro.linalg.solvers import SolveInfo, SPDFactorization, factorize_spd, solve_spd
+from repro.linalg.solvers import SolveInfo, SPDFactorization, factorize_spd
 from repro.utils.validation import (
     check_labels,
     check_positive_scalar,
@@ -108,14 +94,13 @@ __all__ = [
     "SWEEP_BACKENDS",
     "HIERARCHY_MODES",
     "MATRIX_FREE_MIN_VERTICES",
+    "WOODBURY_MAX_VERTICES",
     "STATS_STR_FIELDS",
 ]
 
 #: Sweep backends a workspace can solve through (``"direct"`` means "no
 #: workspace" and is handled by the callers that expose ``--sweep-backend``).
-SWEEP_BACKENDS = ("exact", "factored", "spectral", "multigrid")
-
-_ITERATIVE_BACKENDS = ("cg", "jacobi", "gauss_seidel")
+SWEEP_BACKENDS = ("exact", "auto", "multigrid")
 
 #: Dense matrices up to this many elements get a full-content fingerprint;
 #: larger ones fall back to a strided sample plus the matrix sum (still
@@ -123,15 +108,27 @@ _ITERATIVE_BACKENDS = ("cg", "jacobi", "gauss_seidel")
 #: probabilistic — documented in docs/SCALING.md).
 FULL_FINGERPRINT_MAX_ELEMENTS = 1_000_000
 
-#: Default eigenbasis size for sparse graphs in spectral mode (dense
-#: graphs default to the full basis, which is exact up to roundoff).
-DEFAULT_SPARSE_COMPONENTS = 256
+#: LRU capacity of the factorization cache.
+MAX_FACTORIZATIONS = 8
 
-#: The factored backend switches from anchored PCG to the rank-n_labeled
-#: Woodbury continuation when the labeled block is small enough that the
-#: capacitance solve (O(n_labeled^3) per λ) and the ``N x n_labeled``
-#: basis stay cheap: n_labeled at most this cap AND at most N/4.
+#: Relative residual tolerance of the Woodbury refinement and the
+#: multigrid PCG.
+PCG_TOL = 1e-10
+
+#: ``auto`` uses the rank-n_labeled Woodbury continuation only when the
+#: labeled block is small enough that the capacitance solve
+#: (O(n_labeled^3) per λ) and the ``N x n_labeled`` basis stay cheap:
+#: n_labeled at most this cap AND at most N/4.
 WOODBURY_MAX_LABELED = 512
+
+#: ... and only on graphs with fewer vertices than this.  The
+#: Woodbury basis costs n_labeled back-substitutions through a sparse
+#: factorization whose fill-in grows superlinearly with N, while the
+#: multigrid sweep grows with nnz.  In the crossover table
+#: (``benchmarks/results/lambda_sweep.txt``, 30-point grid, k=10, 5%
+#: labeled) multigrid wins from here on in d=3 and is within ~15% in
+#: d=2; below it Woodbury wins in both.
+WOODBURY_MAX_VERTICES = 10_000
 
 #: V-cycle-preconditioned PCG budget per grid point.  A healthy V-cycle
 #: converges in tens of iterations even at λ = 10²; exceeding this
@@ -171,20 +168,20 @@ class WorkspaceStats(NamedTuple):
         factorization, misses factorize, evictions drop the least
         recently used entry when the cache is full.
     spectral_builds:
-        Eigendecompositions computed (at most one per basis size).
-    pcg_solves / pcg_iterations:
-        Anchored-PCG solves on the factored path and their total
-        iteration count.
+        Eigendecompositions computed by :meth:`SolveWorkspace.eigenbasis`
+        (at most one per basis size).
+    pcg_iterations:
+        Total V-cycle-preconditioned PCG iterations on the multigrid
+        path.
     reanchors:
-        Times the factored path refactorized because the iteration
-        budget was exceeded (each also counts as a factor miss).
+        Exact-factorization fallbacks: solves where the Woodbury
+        refinement or the multigrid PCG could not reach the tolerance,
+        so the workspace factorized at that λ instead (each also
+        counts as a factor miss).
     warm_starts:
         Solves that started from a previous solution.
-    iterations_saved:
-        Total iterations saved by warm-started iterative backends
-        relative to each sweep's cold first solve.
     woodbury_solves:
-        Direct low-rank continuation solves on the factored path (each
+        Direct low-rank continuation solves on the ``auto`` path (each
         λ after the anchor costs one capacitance solve, no iterations).
     coarsen_builds:
         Coarsening hierarchies built (at most one per workspace until
@@ -206,11 +203,9 @@ class WorkspaceStats(NamedTuple):
     factor_misses: int = 0
     factor_evictions: int = 0
     spectral_builds: int = 0
-    pcg_solves: int = 0
     pcg_iterations: int = 0
     reanchors: int = 0
     warm_starts: int = 0
-    iterations_saved: int = 0
     woodbury_solves: int = 0
     coarsen_builds: int = 0
     multigrid_solves: int = 0
@@ -259,18 +254,6 @@ def _fit_result(**kwargs):
     return FitResult(**kwargs)
 
 
-class _Continuation:
-    """Warm-start / anchor state for one labeled-mask (one sweep)."""
-
-    __slots__ = ("anchor", "anchor_lam", "last_solution", "cold_iterations")
-
-    def __init__(self):
-        self.anchor: SPDFactorization | None = None
-        self.anchor_lam: float | None = None
-        self.last_solution: np.ndarray | None = None
-        self.cold_iterations: int | None = None
-
-
 class _WoodburyState:
     """Low-rank continuation state for one labeled-mask.
 
@@ -300,27 +283,12 @@ class SolveWorkspace:
         labeled vertices first.  Validated once, here, instead of per
         grid point.
     backend:
-        Default solve backend: ``"factored"`` (anchored PCG
-        continuation), ``"exact"`` (cached true factorizations,
-        bit-compatible with direct solves), ``"spectral"``
-        (eigenbasis Galerkin), or ``"multigrid"`` (coarsening V-cycle
-        preconditioned PCG — no large factorization, the large-N
-        backend).
-    exact:
-        Strict mode: force the ``"exact"`` backend for every solve
-        regardless of the requested backend, so sweeps stay
-        bit-compatible with per-point direct solves while still reusing
-        cached factorizations.
-    max_factorizations:
-        LRU capacity of the factorization cache.
-    pcg_tol / reanchor_budget:
-        Factored path: relative CG tolerance, and the iteration budget
-        after which the workspace refactorizes at the current λ and
-        re-anchors.
-    n_components:
-        Spectral basis size; ``None`` means the full basis for dense
-        graphs (exact up to roundoff) and
-        :data:`DEFAULT_SPARSE_COMPONENTS` for sparse graphs.
+        Solve backend, one of :data:`SWEEP_BACKENDS`: ``"auto"``
+        (default — Woodbury continuation below the measured crossover,
+        multigrid above it), ``"exact"`` (cached true factorizations,
+        bit-compatible with direct solves), or ``"multigrid"``
+        (coarsening V-cycle preconditioned PCG — no large
+        factorization, the large-N backend).
     on_mutation:
         ``"raise"`` (default): serving from a workspace whose weights
         changed raises :class:`WorkspaceInvalidatedError`.
@@ -330,7 +298,7 @@ class SolveWorkspace:
         historical path) or ``"float32"`` (single-precision
         damped-Jacobi sweeps inside the V-cycle; the outer CG and the
         coarsest solve stay float64, so solutions still converge to
-        ``pcg_tol`` — the parity suite pins the documented RMS tier).
+        :data:`PCG_TOL` — the parity suite pins the documented RMS tier).
     hierarchy_mode:
         Multigrid hierarchy representation: ``"assembled"``,
         ``"matrix_free"``, or ``"auto"`` (default — matrix-free for
@@ -342,12 +310,7 @@ class SolveWorkspace:
         self,
         weights,
         *,
-        backend: str = "factored",
-        exact: bool = False,
-        max_factorizations: int = 8,
-        pcg_tol: float = 1e-10,
-        reanchor_budget: int = 15,
-        n_components: int | None = None,
+        backend: str = "auto",
         on_mutation: str = "raise",
         dtype_policy: str = "float64",
         hierarchy_mode: str = "auto",
@@ -364,14 +327,6 @@ class SolveWorkspace:
             raise ConfigurationError(
                 f"on_mutation must be 'raise' or 'recompute', got {on_mutation!r}"
             )
-        if max_factorizations < 1:
-            raise ConfigurationError(
-                f"max_factorizations must be >= 1, got {max_factorizations}"
-            )
-        if reanchor_budget < 1:
-            raise ConfigurationError(
-                f"reanchor_budget must be >= 1, got {reanchor_budget}"
-            )
         if dtype_policy not in DTYPE_POLICIES:
             raise ConfigurationError(
                 f"dtype_policy must be one of {DTYPE_POLICIES}, "
@@ -385,11 +340,6 @@ class SolveWorkspace:
         self.weights = check_weight_matrix(weights)
         self.n_total = int(self.weights.shape[0])
         self.backend = backend
-        self.exact = bool(exact)
-        self.max_factorizations = int(max_factorizations)
-        self.pcg_tol = float(check_positive_scalar(pcg_tol, "pcg_tol"))
-        self.reanchor_budget = int(reanchor_budget)
-        self.n_components = n_components
         self.on_mutation = on_mutation
         self.dtype_policy = dtype_policy
         self.hierarchy_mode = hierarchy_mode
@@ -400,8 +350,9 @@ class SolveWorkspace:
         self._laplacian = None
         self._factors: OrderedDict[tuple, SPDFactorization] = OrderedDict()
         self._eigencache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._galerkin: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._continuations: dict[tuple, _Continuation] = {}
+        # Per labeled-mask size: the last returned scores, the next
+        # multigrid solve's warm start.
+        self._last_solution: dict[int, np.ndarray] = {}
         self._woodbury: dict[int, _WoodburyState] = {}
         self._hierarchy: CoarseningHierarchy | MatrixFreeHierarchy | None = None
         self._coarse_masks: dict[int, list[np.ndarray]] = {}
@@ -452,8 +403,7 @@ class SolveWorkspace:
         self._laplacian = None
         self._factors.clear()
         self._eigencache.clear()
-        self._galerkin.clear()
-        self._continuations.clear()
+        self._last_solution.clear()
         self._woodbury.clear()
         self._hierarchy = None
         self._coarse_masks.clear()
@@ -538,7 +488,7 @@ class SolveWorkspace:
                     span.set_attribute("nnz", factor.nnz)
                     span.set_attribute("fill_nnz", factor.fill_nnz)
         self._factors[key] = factor
-        while len(self._factors) > self.max_factorizations:
+        while len(self._factors) > MAX_FACTORIZATIONS:
             self._factors.popitem(last=False)
             self._counters["factor_evictions"] += 1
             registry.counter("workspace.factor.evictions").inc()
@@ -548,15 +498,15 @@ class SolveWorkspace:
     # Spectral basis
     # ------------------------------------------------------------------
 
-    def _resolve_components(self, n_components: int | None) -> int:
-        k = n_components if n_components is not None else self.n_components
-        if k is None:
-            k = (
-                min(DEFAULT_SPARSE_COMPONENTS, self.n_total - 1)
-                if self._is_sparse
-                else self.n_total
-            )
-        k = int(k)
+    def eigenbasis(self, n_components: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ``n_components`` smoothest eigenpairs ``(values, vectors)`` of ``L``.
+
+        Cached per size.  Dense graphs use a full ``eigh`` truncated to
+        the requested size; sparse graphs use shift-inverted Lanczos
+        (``eigsh``) for the ``k`` smallest eigenpairs without densifying.
+        """
+        self.check_current()
+        k = int(n_components)
         if not 1 <= k <= self.n_total:
             raise ConfigurationError(
                 f"n_components must be in [1, {self.n_total}], got {k}"
@@ -566,17 +516,6 @@ class SolveWorkspace:
                 "a full eigenbasis of a sparse graph requires densification; "
                 f"request n_components < {self.n_total} or pass a dense graph"
             )
-        return k
-
-    def eigenbasis(self, n_components: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """``(eigenvalues, eigenvectors)`` of ``L``, smoothest first (cached).
-
-        Dense graphs use a full ``eigh`` truncated to the requested size;
-        sparse graphs use shift-inverted Lanczos (``eigsh``) for the
-        ``k`` smallest eigenpairs without densifying.
-        """
-        self.check_current()
-        k = self._resolve_components(n_components)
         cached = self._eigencache.get(k)
         if cached is not None:
             return cached
@@ -599,67 +538,16 @@ class SolveWorkspace:
         self._eigencache[k] = (values, vectors)
         return values, vectors
 
-    def _galerkin_blocks(self, k: int, n: int):
-        """``(B, G)`` with ``B = U_k[:n]`` and ``G = BᵀB``, cached per mask."""
-        key = (k, n)
-        cached = self._galerkin.get(key)
-        if cached is not None:
-            return cached
-        _, vectors = self.eigenbasis(k)
-        design = vectors[:n]
-        gram = design.T @ design
-        self._galerkin[key] = (design, gram)
-        return design, gram
+    # ------------------------------------------------------------------
+    # Woodbury continuation (the ``auto`` path below the crossover)
+    # ------------------------------------------------------------------
 
-    def _solve_spectral(self, y: np.ndarray, lam: float, n: int):
-        k = self._resolve_components(None)
-        values, vectors = self.eigenbasis(k)
-        design, gram = self._galerkin_blocks(k, n)
-        projected = design.T @ y
-        reduced = gram + lam * np.diag(values)
-        try:
-            coefficients = np.linalg.solve(reduced, projected)
-        except np.linalg.LinAlgError:
-            coefficients, *_ = np.linalg.lstsq(reduced, projected, rcond=None)
-        scores = vectors @ coefficients
-        # Refine against the ORIGINAL operator.  Forming G = BᵀB rounds
-        # at O(eps), and for tiny lambda the reduced system amplifies
-        # that by ~1/(lam·mu) along null(G) (rank(G) = n_labeled < k).
-        # The Galerkin identity Uᵀ(V + λL)U = G + λΛ lets the already
-        # assembled reduced matrix drive corrections whose residuals are
-        # measured with the true system, restoring the lost digits.
-        system = self.soft_system(lam, n)
-        rhs = self._rhs_soft(y)
-        best = scores
-        best_norm = float(np.linalg.norm(rhs - system @ scores))
-        for _ in range(2):
-            full_residual = rhs - system @ best
-            try:
-                delta = np.linalg.solve(reduced, vectors.T @ full_residual)
-            except np.linalg.LinAlgError:
-                break
-            candidate = best + vectors @ delta
-            candidate_norm = float(np.linalg.norm(rhs - system @ candidate))
-            if candidate_norm >= best_norm:
-                break
-            best, best_norm = candidate, candidate_norm
-        scores = best
-        info = SolveInfo(
-            method=f"spectral(k={k})",
-            size=self.n_total,
-            final_residual=best_norm,
+    def _uses_woodbury(self, n: int) -> bool:
+        return (
+            0 < n <= WOODBURY_MAX_LABELED
+            and 4 * n <= self.n_total
+            and self.n_total < WOODBURY_MAX_VERTICES
         )
-        return scores, info, {"n_components": k}
-
-    # ------------------------------------------------------------------
-    # Factored (anchored PCG continuation)
-    # ------------------------------------------------------------------
-
-    def _continuation(self, kind: str, n: int) -> _Continuation:
-        return self._continuations.setdefault((kind, n), _Continuation())
-
-    def _woodbury_applicable(self, n: int) -> bool:
-        return 0 < n <= WOODBURY_MAX_LABELED and 4 * n <= self.n_total
 
     def _woodbury_state(self, lam: float, n: int) -> _WoodburyState:
         state = self._woodbury.get(n)
@@ -708,8 +596,9 @@ class SolveWorkspace:
         # tiny; residuals measured with the true system restore them.
         system = self.soft_system(lam, n)
         best_norm = float(np.linalg.norm(rhs - system @ scores))
+        unrefined_norm = best_norm
         rhs_norm = float(np.linalg.norm(rhs))
-        tol = self.pcg_tol * max(rhs_norm, 1.0)
+        tol = PCG_TOL * max(rhs_norm, 1.0)
         for _ in range(2):
             if best_norm <= tol:
                 break
@@ -720,12 +609,9 @@ class SolveWorkspace:
                 break
             scores, best_norm = candidate, candidate_norm
         if best_norm > tol:
-            # Continuation too far gone — refactorize at this λ exactly
-            # like a PCG re-anchor would.
-            self._counters["reanchors"] += 1
-            obs.get_registry().counter("workspace.reanchors").inc()
-            factor = self.factorization("soft", lam, n)
-            return factor.solve(rhs), factor.info(), {"anchored": True}
+            return self._exact_fallback(
+                rhs, lam, n, unrefined_residual=unrefined_norm
+            )
         self._counters["woodbury_solves"] += 1
         obs.get_registry().counter("workspace.woodbury_solves").inc()
         info = SolveInfo(
@@ -735,54 +621,16 @@ class SolveWorkspace:
         )
         return scores, info, {"anchor_lam": state.anchor_lam, "rank": n}
 
-    def _solve_factored(self, y: np.ndarray, lam: float, n: int):
-        if self._woodbury_applicable(n):
-            return self._solve_woodbury(y, lam, n)
-        state = self._continuation("soft", n)
-        rhs = self._rhs_soft(y)
-        registry = obs.get_registry()
+    def _exact_fallback(self, rhs: np.ndarray, lam: float, n: int, **cause):
+        """Factorize at ``λ`` when an iterative path missed its tolerance.
 
-        def anchor_here():
-            factor = self.factorization("soft", lam, n)
-            state.anchor = factor
-            state.anchor_lam = float(lam)
-            scores = factor.solve(rhs)
-            return scores, factor.info(), {"anchored": True}
-
-        if state.anchor is None:
-            return anchor_here()
-
-        system = self.soft_system(lam, n)
-        x0 = state.last_solution
-        warm = x0 is not None
-        try:
-            result = pcg(
-                lambda v: system @ v,
-                rhs,
-                preconditioner=state.anchor.solve,
-                x0=x0,
-                tol=self.pcg_tol,
-                max_iter=self.reanchor_budget,
-            )
-        except ConvergenceError:
-            self._counters["reanchors"] += 1
-            registry.counter("workspace.reanchors").inc()
-            return anchor_here()
-        self._counters["pcg_solves"] += 1
-        self._counters["pcg_iterations"] += result.iterations
-        if warm:
-            self._counters["warm_starts"] += 1
-            registry.counter("workspace.warm_starts").inc()
-        registry.histogram("workspace.pcg.iterations").observe(result.iterations)
-        info = SolveInfo(
-            method="pcg",
-            size=self.n_total,
-            iterations=result.iterations,
-            final_residual=result.final_residual,
-            converged=result.converged,
-            warm_started=warm,
-        )
-        return result.x, info, {"anchor_lam": state.anchor_lam}
+        ``cause`` (why the path gave up) lands in the result details next
+        to ``fallback="exact"``.
+        """
+        self._counters["reanchors"] += 1
+        obs.get_registry().counter("workspace.reanchors").inc()
+        factor = self.factorization("soft", lam, n)
+        return factor.solve(rhs), factor.info(), {"fallback": "exact", **cause}
 
     # ------------------------------------------------------------------
     # Multigrid (coarsening V-cycle preconditioned PCG)
@@ -839,7 +687,6 @@ class SolveWorkspace:
         return cached
 
     def _solve_multigrid(self, y: np.ndarray, lam: float, n: int):
-        state = self._continuation("soft", n)
         system = self.soft_system(lam, n)
         rhs = self._rhs_soft(y)
         registry = obs.get_registry()
@@ -850,7 +697,7 @@ class SolveWorkspace:
             self._coarse_mask_diagonals(n),
             dtype_policy=self.dtype_policy,
         )
-        x0 = state.last_solution
+        x0 = self._last_solution.get(n)
         warm = x0 is not None
         try:
             result = pcg(
@@ -858,22 +705,19 @@ class SolveWorkspace:
                 rhs,
                 preconditioner=preconditioner,
                 x0=x0,
-                tol=self.pcg_tol,
+                tol=PCG_TOL,
                 max_iter=MULTIGRID_MAX_ITER,
             )
         except ConvergenceError as stall:
-            # A stalled V-cycle (pathological graph) falls back to an
-            # exact factorization at this λ, like a factored re-anchor;
-            # the stall's iteration and residual say why.
-            self._counters["reanchors"] += 1
-            registry.counter("workspace.reanchors").inc()
-            factor = self.factorization("soft", lam, n)
-            details = {
-                "fallback": "exact",
-                "stall_iterations": stall.iterations,
-                "stall_residual": stall.residual,
-            }
-            return factor.solve(rhs), factor.info(), details
+            # A stalled V-cycle (pathological graph); the stall's
+            # iteration and residual say why.
+            return self._exact_fallback(
+                rhs,
+                lam,
+                n,
+                stall_iterations=stall.iterations,
+                stall_residual=stall.residual,
+            )
         self._counters["multigrid_solves"] += 1
         self._counters["pcg_iterations"] += result.iterations
         registry.counter("workspace.multigrid_solves").inc()
@@ -892,29 +736,6 @@ class SolveWorkspace:
         return result.x, info, {"n_levels": preconditioner.n_levels}
 
     # ------------------------------------------------------------------
-    # Warm-started classic iterative backends
-    # ------------------------------------------------------------------
-
-    def _solve_iterative(self, y: np.ndarray, lam: float, n: int, method: str):
-        state = self._continuation("soft", n)
-        system = self.soft_system(lam, n)
-        rhs = self._rhs_soft(y)
-        x0 = state.last_solution
-        scores, info = solve_spd(
-            system, rhs, method=method, x0=x0, return_info=True
-        )
-        if x0 is not None:
-            self._counters["warm_starts"] += 1
-            obs.get_registry().counter("workspace.warm_starts").inc()
-            if state.cold_iterations is not None:
-                saved = max(0, state.cold_iterations - info.iterations)
-                self._counters["iterations_saved"] += saved
-                info = info._replace(iterations_saved=saved)
-        else:
-            state.cold_iterations = info.iterations
-        return scores, info, {}
-
-    # ------------------------------------------------------------------
     # Public solves
     # ------------------------------------------------------------------
 
@@ -927,27 +748,18 @@ class SolveWorkspace:
             )
         return y
 
-    def _resolve_backend(self, backend: str | None) -> str:
-        if self.exact:
-            return "exact"
-        resolved = backend or self.backend
-        if resolved not in SWEEP_BACKENDS + _ITERATIVE_BACKENDS:
-            raise ConfigurationError(
-                f"backend must be one of {SWEEP_BACKENDS + _ITERATIVE_BACKENDS}, "
-                f"got {resolved!r}"
-            )
-        return resolved
-
-    def solve_soft(self, y_labeled, lam: float, *, backend: str | None = None):
+    def solve_soft(self, y_labeled, lam: float):
         """Solve the soft criterion at one λ through the workspace.
 
         ``lam = 0`` delegates to :meth:`solve_hard` (Proposition II.1),
         exactly as the direct path does.  Returns a
-        :class:`~repro.core.result.FitResult`.
+        :class:`~repro.core.result.FitResult` whose ``solve_info.method``
+        names the path that ran (``"woodbury"``, ``"multigrid_pcg"`` or
+        the exact factorization's method).
         """
         y = self._check_labels(y_labeled)
         lam = check_positive_scalar(lam, "lam", allow_zero=True)
-        resolved = self._resolve_backend(backend)
+        backend = self.backend
         n = y.shape[0]
         m = self.n_total - n
         if lam == 0.0:
@@ -956,7 +768,7 @@ class SolveWorkspace:
                 scores=hard.scores,
                 n_labeled=n,
                 lam=0.0,
-                method=f"workspace[{resolved}]->hard",
+                method=f"workspace[{backend}]->hard",
                 criterion="soft",
                 details=dict(hard.details),
                 solve_info=hard.solve_info,
@@ -965,55 +777,48 @@ class SolveWorkspace:
         with obs.span(
             "repro.workspace.solve",
             kind="soft",
-            backend=resolved,
+            backend=backend,
             lam=float(lam),
             n=n,
             m=m,
         ) as span:
-            if resolved == "exact":
+            if backend == "exact":
                 factor = self.factorization("soft", lam, n)
                 scores = factor.solve(self._rhs_soft(y))
                 info, details = factor.info(), {}
-            elif resolved == "spectral":
-                scores, info, details = self._solve_spectral(y, lam, n)
-            elif resolved == "factored":
-                scores, info, details = self._solve_factored(y, lam, n)
-            elif resolved == "multigrid":
-                scores, info, details = self._solve_multigrid(y, lam, n)
+            elif backend == "auto" and self._uses_woodbury(n):
+                scores, info, details = self._solve_woodbury(y, lam, n)
             else:
-                scores, info, details = self._solve_iterative(y, lam, n, resolved)
-            self._continuation("soft", n).last_solution = scores
+                scores, info, details = self._solve_multigrid(y, lam, n)
+            self._last_solution[n] = scores
             if span.recording:
                 span.set_attribute("solve_method", info.method)
                 span.set_attribute("iterations", info.iterations)
                 if "fallback" in details:
-                    span.set_attributes(
-                        {key: details[key] for key in ("fallback", "stall_iterations", "stall_residual")}
-                    )
+                    span.set_attributes(details)
             registry = obs.get_registry()
             registry.counter("workspace.solves").inc()
             details = {
                 "system_size": self.n_total,
-                "backend": resolved,
+                "backend": backend,
                 **details,
             }
             return _fit_result(
                 scores=scores,
                 n_labeled=n,
                 lam=float(lam),
-                method=f"workspace[{resolved}]",
+                method=f"workspace[{backend}]",
                 criterion="soft",
                 details=details,
                 solve_info=info,
             )
 
-    def solve_hard(self, y_labeled, *, backend: str | None = None):
+    def solve_hard(self, y_labeled):
         """Solve the hard criterion through the cached grounded factorization.
 
         The grounded system is λ-independent, so the first solve
-        factorizes and every later one is a back-substitution.  The
-        spectral/factored backends route here too: the factorization is
-        already amortized across the sweep.
+        factorizes and every later one is a back-substitution, whatever
+        the workspace's backend.
         """
         y = self._check_labels(y_labeled)
         n = y.shape[0]
@@ -1044,25 +849,21 @@ class SolveWorkspace:
                 solve_info=factor.info(),
             )
 
-    def sweep_soft(
-        self, y_labeled, lambdas, *, backend: str | None = None
-    ) -> list:
+    def sweep_soft(self, y_labeled, lambdas) -> list:
         """Solve the soft criterion along a λ grid with continuation.
 
-        Grid points are solved in the given order so warm starts and the
-        anchored preconditioner track the continuation path; pass an
-        increasing grid for the best amortization.
+        Grid points are solved in the given order, so the Woodbury path
+        anchors on the first λ and multigrid warm-starts each point from
+        the previous one; pass an increasing grid for the best
+        amortization.
         """
         grid = tuple(lambdas)
         with obs.span(
             "repro.workspace.sweep",
-            backend=self._resolve_backend(backend),
+            backend=self.backend,
             n_points=len(grid),
         ) as span:
-            fits = [
-                self.solve_soft(y_labeled, lam, backend=backend)
-                for lam in grid
-            ]
+            fits = [self.solve_soft(y_labeled, lam) for lam in grid]
             if span.recording:
                 from repro.obs.probes import record_workspace_stats
 
@@ -1085,6 +886,6 @@ class SolveWorkspace:
         kind = "sparse" if self._is_sparse else "dense"
         return (
             f"SolveWorkspace(n_total={self.n_total}, {kind}, "
-            f"backend={self.backend!r}, exact={self.exact}, "
+            f"backend={self.backend!r}, "
             f"cached_factors={len(self._factors)})"
         )

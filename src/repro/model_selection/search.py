@@ -33,6 +33,7 @@ from scipy import sparse
 from repro.core.soft import solve_soft_criterion
 from repro.datasets.splits import kfold_indices
 from repro.exceptions import ConfigurationError, DataValidationError, ReproError
+from repro.experiments.amortize import check_sweep_backend, make_workspace
 from repro.metrics.regression import mean_squared_error
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_labels, check_weight_matrix
@@ -43,21 +44,6 @@ __all__ = [
     "select_lambda",
     "select_bandwidth",
 ]
-
-#: Backends accepted by the grid searches: ``"direct"`` is the historical
-#: per-point solve (bit-identical to previous releases); the rest route
-#: through a per-fold :class:`~repro.linalg.workspace.SolveWorkspace`.
-CV_SWEEP_BACKENDS = ("direct", "exact", "factored", "spectral", "multigrid")
-
-
-def _check_sweep_backend(sweep_backend: str) -> str:
-    if sweep_backend not in CV_SWEEP_BACKENDS:
-        raise ConfigurationError(
-            f"sweep_backend must be one of {CV_SWEEP_BACKENDS}, "
-            f"got {sweep_backend!r}"
-        )
-    return sweep_backend
-
 
 def _score_or_inf(evaluate) -> float:
     """Run one CV evaluation; degenerate candidates score ``inf``.
@@ -128,7 +114,7 @@ def cross_validate_lambda(
     sweep_backend:
         ``"direct"`` (per-point solves, the historical bit-identical
         path) or a :class:`~repro.linalg.workspace.SolveWorkspace`
-        backend (``"exact"``, ``"factored"``, ``"spectral"``) built per
+        backend (``"exact"``, ``"auto"``, ``"multigrid"``) built per
         fold to amortize the solves along a lambda grid.
     dtype_policy:
         Smoothing precision forwarded to each fold's workspace (only the
@@ -139,7 +125,7 @@ def cross_validate_lambda(
     float, or a tuple of floats when ``lam`` is a sequence (one mean
     loss per candidate, in grid order).
     """
-    _check_sweep_backend(sweep_backend)
+    check_sweep_backend(sweep_backend)
     scalar = np.ndim(lam) == 0
     grid = (lam,) if scalar else tuple(lam)
     if not grid:
@@ -170,14 +156,7 @@ def cross_validate_lambda(
             w_perm = weights[order][:, order].tocsr()
         else:
             w_perm = weights[np.ix_(order, order)]
-        if sweep_backend == "direct":
-            workspace = None
-        else:
-            from repro.linalg.workspace import SolveWorkspace
-
-            workspace = SolveWorkspace(
-                w_perm, backend=sweep_backend, dtype_policy=dtype_policy
-            )
+        workspace = make_workspace(w_perm, sweep_backend, dtype_policy=dtype_policy)
         for j, lam_j in enumerate(grid):
             if failed[j]:
                 continue
@@ -227,7 +206,7 @@ def select_lambda(
         raise ConfigurationError("grid must contain at least one lambda")
     if any(lam < 0 for lam in grid):
         raise ConfigurationError("lambda grid values must be >= 0")
-    _check_sweep_backend(sweep_backend)
+    check_sweep_backend(sweep_backend)
     try:
         scores = cross_validate_lambda(
             weights,
@@ -343,8 +322,7 @@ def select_bandwidth(
     ``construction`` (``"neighbors"`` exact, default, or ``"approx"``),
     and for the approximate route ``n_trees``/``leaf_size``/``seed``.
     Pair it with a workspace ``sweep_backend`` (``"exact"``,
-    ``"factored"``, ``"spectral"``, ``"multigrid"``), which keep sparse
-    graphs sparse; the historical ``"direct"`` backend densifies them.
+    ``"auto"``, ``"multigrid"``), which keep sparse graphs sparse; the historical ``"direct"`` backend densifies them.
 
     Each candidate is scored with :func:`cross_validate_lambda` at a
     fixed ``lam``.
@@ -357,7 +335,7 @@ def select_bandwidth(
         raise ConfigurationError("grid must contain at least one bandwidth")
     if any(h <= 0 for h in grid):
         raise ConfigurationError("bandwidth grid values must be > 0")
-    _check_sweep_backend(sweep_backend)
+    check_sweep_backend(sweep_backend)
     if graph not in ("full", "knn"):
         raise ConfigurationError(
             f"graph must be 'full' or 'knn', got {graph!r}"

@@ -66,9 +66,8 @@ __all__ = ["GraphSSLModel", "ServingStats", "SERVING_METHODS"]
 SERVING_METHODS = ("nw", "nystrom", "exact")
 
 #: Default eigenbasis size requested for ``method="nystrom"`` when the
-#: model doesn't pin ``n_components`` (the workspace's own defaults —
-#: full basis on dense graphs, 256 on sparse — are tuned for spectral
-#: *solving*; serving only ever extends the smooth end stably).
+#: model doesn't pin ``n_components`` (serving only ever extends the
+#: smooth end of the spectrum stably).
 DEFAULT_SERVING_COMPONENTS = 64
 
 #: Nystrom serves only eigenpairs with ``mu_k <= fraction * d_low``
@@ -123,8 +122,8 @@ class GraphSSLModel:
         ``radius`` for epsilon, ``construction_method`` to pin the
         dense/kd-tree route).
     n_components:
-        Eigenbasis size for ``method="nystrom"`` (default: the
-        workspace's — full basis on dense graphs, 256 on sparse).
+        Eigenbasis size for ``method="nystrom"`` (default:
+        ``min(DEFAULT_SERVING_COMPONENTS, N - 1)``).
     field_scale:
         Gaussian-field sigma used by credible intervals.
     telemetry:
@@ -232,9 +231,9 @@ class GraphSSLModel:
                 bandwidth=self.bandwidth_,
                 **self.graph_params,
             )
-            self._workspace = SolveWorkspace(
-                self.graph_.weights, n_components=self.n_components
-            )
+            # One λ, so no sweep to amortize: the exact backend solves
+            # it off the factorization ExactInserter later reuses.
+            self._workspace = SolveWorkspace(self.graph_.weights, backend="exact")
             if self.lam == 0.0:
                 from repro.core.hard import solve_hard_criterion
 
@@ -364,7 +363,9 @@ class GraphSSLModel:
         if self._inserter is None:
             if self._workspace is None:
                 # A worker-side copy (see __getstate__) rebuilds lazily.
-                self._workspace = SolveWorkspace(self.graph_.weights)
+                self._workspace = SolveWorkspace(
+                    self.graph_.weights, backend="exact"
+                )
             self._inserter = ExactInserter(
                 self.graph_.weights,
                 self._y,

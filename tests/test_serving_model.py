@@ -68,6 +68,24 @@ class TestConstructionAndFit:
         assert model.scores_.shape == (100,)
         assert model.bandwidth_ > 0
 
+    def test_soft_fit_is_one_exact_solve(self):
+        """A soft fit solves one λ: no Woodbury basis is built, and the
+        scores are the exact workspace solve's, bit for bit."""
+        from repro import obs
+        from repro.linalg.workspace import SolveWorkspace
+
+        data = make_regression_dataset(25, 175, seed=3)
+        model = GraphSSLModel(lam=0.5, graph="knn", graph_params={"k": 10})
+        tracer = obs.RecordingTracer()
+        with obs.use_tracer(tracer):
+            model.fit(data.x_labeled, data.y_labeled, data.x_unlabeled)
+        names = {span.name for span in tracer.iter_spans()}
+        assert "repro.workspace.woodbury_basis" not in names
+        exact = SolveWorkspace(model.graph_.weights, backend="exact")
+        np.testing.assert_array_equal(
+            model.scores_, exact.solve_soft(data.y_labeled, 0.5).scores
+        )
+
 
 class TestServingBoundary:
     """Malformed queries raise ConfigurationError at the boundary."""

@@ -4,10 +4,8 @@ The amortization layer is only admissible if it does not move results.
 This suite pins the contract from three directions:
 
 * every workspace backend matches per-point direct solves at
-  ``atol=1e-8`` across a lambda grid (the spectral claim is made on
-  dense graphs, where the Galerkin basis is the full eigenbasis and the
-  projection is exact — on sparse graphs the basis is truncated and
-  only the exact/factored backends carry the 1e-8 guarantee);
+  ``atol=1e-8`` across a lambda grid, on dense and sparse graphs, with
+  ``auto`` covered on both sides of its Woodbury/multigrid choice;
 * the sparse exact backend is *bitwise* identical to the direct sparse
   path (same operations in the same order);
 * the rewired model-selection and experiment drivers (grid CV,
@@ -25,7 +23,7 @@ from repro.experiments.figures.prop22 import run_prop22_experiment
 from repro.experiments.lambda_curve import run_lambda_curve
 from repro.graph.similarity import full_kernel_graph, knn_graph
 from repro.kernels.bandwidth import paper_bandwidth_rule
-from repro.linalg.workspace import SolveWorkspace
+from repro.linalg.workspace import SWEEP_BACKENDS, SolveWorkspace
 from repro.model_selection.search import (
     cross_validate_lambda,
     select_bandwidth,
@@ -51,7 +49,7 @@ def sparse_problem():
 
 
 class TestBackendParity:
-    @pytest.mark.parametrize("backend", ["exact", "factored", "spectral"])
+    @pytest.mark.parametrize("backend", ["exact", "auto", "multigrid"])
     def test_dense_backend_matches_direct(self, dense_problem, backend):
         data, graph = dense_problem
         ws = SolveWorkspace(graph.weights, backend=backend)
@@ -68,7 +66,7 @@ class TestBackendParity:
                 err_msg=f"backend={backend} lam={lam}",
             )
 
-    @pytest.mark.parametrize("backend", ["exact", "factored"])
+    @pytest.mark.parametrize("backend", ["exact", "auto", "multigrid"])
     def test_sparse_backend_matches_direct(self, sparse_problem, backend):
         data, graph = sparse_problem
         ws = SolveWorkspace(graph.weights, backend=backend)
@@ -90,7 +88,7 @@ class TestBackendParity:
         op order as :func:`solve_soft_criterion`, so it must produce the
         SAME floats, not merely close ones."""
         data, graph = sparse_problem
-        ws = SolveWorkspace(graph.weights, exact=True)
+        ws = SolveWorkspace(graph.weights, backend="exact")
         for lam in LAMBDA_GRID:
             direct = solve_soft_criterion(
                 graph.weights, data.y_labeled, lam, check_reachability=False
@@ -101,13 +99,13 @@ class TestBackendParity:
             )
 
     def test_sparse_woodbury_matches_direct(self):
-        """Small labeled fraction routes the factored backend through the
+        """Small labeled fraction routes ``auto`` through the
         rank-n_labeled Woodbury continuation; it must still track direct
         per-point solves at 1e-8 across the whole grid."""
         data = make_synthetic_dataset(30, 170, seed=19)
         bandwidth = paper_bandwidth_rule(30, 5)
         graph = knn_graph(data.x_all, k=12, bandwidth=bandwidth)
-        ws = SolveWorkspace(graph.weights, backend="factored")
+        ws = SolveWorkspace(graph.weights, backend="auto")
         for lam in LAMBDA_GRID:
             direct = solve_soft_criterion(
                 graph.weights, data.y_labeled, lam, check_reachability=False
@@ -121,7 +119,7 @@ class TestBackendParity:
 
     def test_lambda_zero_matches_hard_everywhere(self, dense_problem):
         data, graph = dense_problem
-        for backend in ("exact", "factored", "spectral"):
+        for backend in SWEEP_BACKENDS:
             ws = SolveWorkspace(graph.weights, backend=backend)
             via_soft = ws.solve_soft(data.y_labeled, 0.0)
             via_hard = ws.solve_hard(data.y_labeled)
@@ -146,7 +144,7 @@ class TestModelSelectionParity:
         )
         assert batched == looped
 
-    @pytest.mark.parametrize("backend", ["exact", "factored"])
+    @pytest.mark.parametrize("backend", ["exact", "auto"])
     def test_cv_workspace_backend_matches_direct(self, dense_problem, backend):
         data, graph = dense_problem
         grid = (0.0, 0.01, 0.1, 1.0)
@@ -196,7 +194,7 @@ class TestExperimentParity:
             lambdas=(0.0, 0.01, 0.1, 1.0),
             n_replicates=4,
             seed=21,
-            sweep_backend="factored",
+            sweep_backend="auto",
         )
         serial = run_lambda_curve(n_jobs=1, **kwargs)
         parallel = run_lambda_curve(n_jobs=2, **kwargs)
@@ -211,18 +209,18 @@ class TestExperimentParity:
             lambdas=(0.0, 0.01, 0.1, 1.0, 100.0, 1e4),
             n_replicates=3,
             seed=22,
-            sweep_backend="factored",
+            sweep_backend="auto",
         )
         assert curve.interpolates_anchors
 
-    @pytest.mark.parametrize("backend", ["exact", "factored", "spectral"])
+    @pytest.mark.parametrize("backend", SWEEP_BACKENDS)
     def test_prop21_still_converges(self, backend):
         result = run_prop21_experiment(
             n_labeled=40, n_unlabeled=12, seed=1, sweep_backend=backend
         )
         assert result.converges
 
-    @pytest.mark.parametrize("backend", ["exact", "factored", "spectral"])
+    @pytest.mark.parametrize("backend", SWEEP_BACKENDS)
     def test_prop22_still_collapses(self, backend):
         result = run_prop22_experiment(
             n_labeled=40, n_unlabeled=12, seed=1, sweep_backend=backend
