@@ -106,8 +106,9 @@ def test_bench_memory_budget(bench, results_dir):
     gate = MemoryBudget()
 
     # Budget phases and BenchRecorder timing passes both reset the shared
-    # tracemalloc peak, so the phases run once (gated) and the record is
-    # built from the phase durations (repeats=1, informational only).
+    # tracemalloc peak, so the phases run once (gated) and each phase
+    # gets its own record from its own duration (repeats=1,
+    # informational only).
     with gate.phase("graph", budget_bytes=budget_bytes):
         graph = approx_knn_graph(x, k=K, bandwidth=0.5)
     workspace = SolveWorkspace(
@@ -127,21 +128,26 @@ def test_bench_memory_budget(bench, results_dir):
 
     from repro.obs.bench import BenchRecord
 
-    record = BenchRecord.from_samples(
-        f"memory_budget_pipeline_n{n}",
-        [usage.duration_s for usage in gate.phases],
-        repeats=1,
-        memory={
-            "budget": gate.to_dict(),
+    # One record per phase: the graph, hierarchy and sweep durations are
+    # unlike quantities, not repeat samples of one timing.
+    for usage in gate.phases:
+        memory = {
+            "phase": usage.to_dict(),
             "naive_candidate_bytes": _naive_candidate_bytes(n),
-            "hierarchy_retained_bytes": retained,
-            "hierarchy_assembled_estimate_bytes": assembled_est,
-            "peak_bytes": max(u.peak_traced_bytes for u in gate.phases),
-        },
-        scale=SCALE,
-    )
-    bench.add(record)
-    record.write_json(results_dir / f"{record.name}.json")
+            "peak_bytes": usage.peak_traced_bytes,
+            "net_bytes": usage.net_traced_bytes,
+        }
+        if usage.name == "hierarchy":
+            memory["hierarchy_retained_bytes"] = retained
+            memory["hierarchy_assembled_estimate_bytes"] = assembled_est
+        record = BenchRecord.from_samples(
+            f"memory_budget_{usage.name}_n{n}",
+            [usage.duration_s],
+            memory=memory,
+            scale=SCALE,
+        )
+        bench.add(record)
+        record.write_json(results_dir / f"{record.name}.json")
 
     lines = [
         f"memory-budget pipeline at N={n}, d={D}, k={K} "

@@ -645,7 +645,7 @@ def _cmd_obs_trend(args) -> int:
 
 
 def _cmd_obs_span_tree(args) -> int:
-    from repro.obs.ledger import render_span_tree
+    from repro.obs.export import render_tree
 
     with _open_ledger(args) as ledger:
         try:
@@ -653,7 +653,7 @@ def _cmd_obs_span_tree(args) -> int:
         except KeyError as exc:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
-    print(render_span_tree(records, max_spans=args.max_spans))
+    print(render_tree(records, max_spans=args.max_spans))
     return 0
 
 
@@ -693,7 +693,8 @@ def _cmd_obs_lint_metrics(args) -> int:
     from repro.obs.openmetrics import OpenMetricsError, parse_openmetrics
 
     try:
-        text = open(args.path).read()
+        with open(args.path) as handle:
+            text = handle.read()
     except OSError as exc:
         print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
         return 2
@@ -989,7 +990,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", help="trace file written by --trace PATH.jsonl")
     p.add_argument(
         "--tree", action="store_true",
-        help="also print the span tree (one indented line per span)",
+        help="also print the span tree (one indented row per span, with self-time)",
     )
     p.add_argument(
         "--max-spans", type=int, default=200,
@@ -1089,7 +1090,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_obs_trend)
 
     p = obs_sub.add_parser(
-        "span-tree", help="span tree with memory attribution for one run"
+        "span-tree", help="span tree with self-time and memory attribution for one run"
     )
     ledger_flag(p)
     p.add_argument("run_id", help="run id of an ingested trace")

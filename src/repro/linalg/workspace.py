@@ -47,9 +47,9 @@ point's returned scores.
 
 A workspace fingerprints its weight matrix at construction and re-checks
 the fingerprint before serving any cached artifact: mutating the graph
-after caching raises :class:`~repro.exceptions.WorkspaceInvalidatedError`
-(or, with ``on_mutation="recompute"``, drops every cache and rebuilds).
-A stale factorization is never served.
+after caching raises :class:`~repro.exceptions.WorkspaceInvalidatedError`;
+rebuild the workspace or call :meth:`SolveWorkspace.invalidate` to adopt
+the mutated weights.  A stale factorization is never served.
 
 Everything is observable: ``workspace.*`` spans and cache hit / miss /
 eviction counters flow through :mod:`repro.obs`, and
@@ -289,10 +289,6 @@ class SolveWorkspace:
         bit-compatible with direct solves), or ``"multigrid"``
         (coarsening V-cycle preconditioned PCG — no large
         factorization, the large-N backend).
-    on_mutation:
-        ``"raise"`` (default): serving from a workspace whose weights
-        changed raises :class:`WorkspaceInvalidatedError`.
-        ``"recompute"``: drop all caches and re-fingerprint instead.
     dtype_policy:
         Multigrid smoothing precision: ``"float64"`` (default, exact
         historical path) or ``"float32"`` (single-precision
@@ -311,7 +307,6 @@ class SolveWorkspace:
         weights,
         *,
         backend: str = "auto",
-        on_mutation: str = "raise",
         dtype_policy: str = "float64",
         hierarchy_mode: str = "auto",
     ):
@@ -322,10 +317,6 @@ class SolveWorkspace:
         if backend not in SWEEP_BACKENDS:
             raise ConfigurationError(
                 f"backend must be one of {SWEEP_BACKENDS}, got {backend!r}"
-            )
-        if on_mutation not in ("raise", "recompute"):
-            raise ConfigurationError(
-                f"on_mutation must be 'raise' or 'recompute', got {on_mutation!r}"
             )
         if dtype_policy not in DTYPE_POLICIES:
             raise ConfigurationError(
@@ -340,7 +331,6 @@ class SolveWorkspace:
         self.weights = check_weight_matrix(weights)
         self.n_total = int(self.weights.shape[0])
         self.backend = backend
-        self.on_mutation = on_mutation
         self.dtype_policy = dtype_policy
         self.hierarchy_mode = hierarchy_mode
 
@@ -380,20 +370,17 @@ class SolveWorkspace:
     def check_current(self) -> None:
         """Verify the weights still match the construction-time fingerprint.
 
-        Called before any cached artifact is served.  On mismatch,
-        either raises :class:`WorkspaceInvalidatedError` or (with
-        ``on_mutation="recompute"``) drops every cache and adopts the
-        mutated weights as the new ground truth.
+        Called before any cached artifact is served.  On mismatch, raises
+        :class:`WorkspaceInvalidatedError`: the caller rebuilds the
+        workspace or calls :meth:`invalidate` to adopt the mutated
+        weights as the new ground truth.
         """
         if _fingerprint(self.weights) == self._fingerprint:
             return
-        if self.on_mutation == "recompute":
-            self.invalidate()
-            return
         raise WorkspaceInvalidatedError(
             "the workspace's weight matrix was mutated after caching; "
-            "rebuild the workspace (or construct it with "
-            "on_mutation='recompute') instead of reusing stale factorizations"
+            "rebuild the workspace or call invalidate() to adopt the "
+            "mutated weights instead of reusing stale factorizations"
         )
 
     def invalidate(self) -> None:
@@ -724,7 +711,7 @@ class SolveWorkspace:
         if warm:
             self._counters["warm_starts"] += 1
             registry.counter("workspace.warm_starts").inc()
-        registry.histogram("workspace.pcg.iterations").observe(result.iterations)
+        registry.log_histogram("workspace.pcg.iterations").observe(result.iterations)
         info = SolveInfo(
             method="multigrid_pcg",
             size=self.n_total,

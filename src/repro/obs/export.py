@@ -14,8 +14,11 @@ skipped, so traces written before the header existed load identically —
 and :func:`load_header` retrieves the provenance when present.
 
 :func:`render_trace_report` aggregates records by span name into an
-aligned table (count / total / mean / max durations) plus per-name
-numeric-attribute summaries — this backs ``python -m repro trace-report``.
+aligned table (count / total / self / mean / max durations) plus per-name
+numeric-attribute summaries — this backs ``python -m repro trace-report``;
+:func:`render_tree` is the one per-span tree view, with each span's
+self-time (:func:`self_times`) and memory columns — it backs both
+``trace-report --tree`` and ``repro obs span-tree``.
 
 Durability: whole-file dumps (:func:`write_jsonl`,
 :func:`dump_metrics_json`) go through :func:`atomic_write_text` —
@@ -49,6 +52,7 @@ __all__ = [
     "InMemoryExporter",
     "render_tree",
     "render_trace_report",
+    "self_times",
 ]
 
 
@@ -281,18 +285,80 @@ def _fmt_seconds(value) -> str:
     return f"{value:.6f}"
 
 
-def render_tree(trace, *, max_spans: int = 200) -> str:
-    """Indented per-span listing (one line per span, pre-order)."""
+def self_times(records) -> dict:
+    """Each span's self-time, keyed by ``span_id``.
+
+    A span's self-time is its duration minus the durations of its direct
+    children, matched through ``parent_id`` — the time attributable to
+    that layer alone, so self-times sum to the roots' durations instead
+    of double-counting nested layers.  A span whose children ran
+    concurrently (worker subtrees grafted in from ``--jobs N``) gets a
+    negative self-time.
+    """
+    timed = [r for r in records if r.get("duration_s") is not None]
+    children: dict = {}
+    for record in timed:
+        parent = record.get("parent_id")
+        if parent is not None:
+            children[parent] = children.get(parent, 0.0) + float(record["duration_s"])
+    return {
+        record["span_id"]: float(record["duration_s"]) - children.get(record["span_id"], 0.0)
+        for record in timed
+        if record.get("span_id") is not None
+    }
+
+
+#: Memory attributes rendered as MB columns instead of inline text.
+_MEMORY_COLUMNS = (
+    ("memory.peak_bytes", "peak MB", "{:.2f}"),
+    ("memory.net_bytes", "net MB", "{:+.2f}"),
+)
+
+
+def render_tree(trace, *, max_spans: int = 200, max_attr_width: int = 100) -> str:
+    """Indented span tree, one row per span in pre-order.
+
+    Columns: the inclusive ``duration_s``, the ``self_s`` of
+    :func:`self_times`, ``peak MB`` / ``net MB`` when any shown span
+    carries ``memory.peak_bytes`` / ``memory.net_bytes`` (memory-tracking
+    traces), and the remaining attributes inline, elided at
+    ``max_attr_width``.  Backs ``trace-report --tree`` and
+    ``obs span-tree``.
+    """
     records = [r for r in to_records(trace) if "name" in r]
-    lines = []
-    for record in records[:max_spans]:
-        indent = "  " * record.get("depth", 0)
-        attrs = record.get("attributes") or {}
+    if not records:
+        return "empty trace (0 spans)"
+    own = self_times(records)
+    shown = records[:max_spans]
+    memory = [
+        column
+        for column in _MEMORY_COLUMNS
+        if any(column[0] in (r.get("attributes") or {}) for r in shown)
+    ]
+    headers = ["span", "duration_s", "self_s", *(label for _, label, _ in memory), "attributes"]
+    rows = []
+    for record in shown:
+        attrs = dict(record.get("attributes") or {})
+        row = [
+            "  " * int(record.get("depth") or 0) + str(record["name"]),
+            _fmt_seconds(record.get("duration_s")),
+            _fmt_seconds(own.get(record.get("span_id"))),
+        ]
+        for key, _, spec in memory:
+            value = attrs.pop(key, None)
+            row.append("-" if value is None else spec.format(value / 1e6))
         attr_text = ", ".join(f"{k}={_compact(v)}" for k, v in attrs.items())
-        suffix = f"  [{attr_text}]" if attr_text else ""
-        lines.append(
-            f"{indent}{record['name']}  {_fmt_seconds(record.get('duration_s'))}s{suffix}"
-        )
+        if len(attr_text) > max_attr_width:
+            attr_text = attr_text[: max_attr_width - 3] + "..."
+        rows.append(row + [attr_text])
+    widths = [max(len(cell) for cell in column) for column in zip(headers, *rows)]
+
+    def line(cells: list[str]) -> str:
+        numbers = [cell.rjust(width) for cell, width in zip(cells[1:-1], widths[1:-1])]
+        return "  ".join([cells[0].ljust(widths[0]), *numbers, cells[-1]]).rstrip()
+
+    lines = [line(headers), line(["-" * width for width in widths])]
+    lines.extend(line(row) for row in rows)
     if len(records) > max_spans:
         lines.append(f"... {len(records) - max_spans} more spans")
     return "\n".join(lines)
@@ -310,7 +376,9 @@ def render_trace_report(trace) -> str:
     One table of span durations grouped by name, and one of numeric
     attribute statistics grouped by ``span name / attribute`` — the
     latter is where solver health (iterations, condition estimates,
-    degree statistics) surfaces.
+    degree statistics) surfaces.  ``total_s`` sums inclusive durations
+    (nested layers count in their parents too); ``self_s`` sums
+    :func:`self_times`, so it attributes each second to one layer.
     """
     from repro.experiments.report import ascii_table
 
@@ -318,13 +386,17 @@ def render_trace_report(trace) -> str:
     if not records:
         return "empty trace (0 spans)"
 
+    own = self_times(records)
     by_name: dict[str, list[float]] = {}
+    self_by_name: dict[str, float] = {}
     attr_values: dict[tuple[str, str], list[float]] = {}
     for record in records:
         duration = record.get("duration_s")
         by_name.setdefault(record["name"], []).append(
             float(duration) if duration is not None else math.nan
         )
+        own_s = own.get(record.get("span_id"), 0.0)
+        self_by_name[record["name"]] = self_by_name.get(record["name"], 0.0) + own_s
         for key, value in (record.get("attributes") or {}).items():
             if isinstance(value, bool):
                 value = float(value)
@@ -338,12 +410,14 @@ def render_trace_report(trace) -> str:
         total = sum(durations)
         mean = total / len(durations) if durations else math.nan
         peak = max(durations) if durations else math.nan
-        span_rows.append([name, count, f"{total:.6f}", f"{mean:.6f}", f"{peak:.6f}"])
+        span_rows.append(
+            [name, count, f"{total:.6f}", f"{self_by_name[name]:.6f}", f"{mean:.6f}", f"{peak:.6f}"]
+        )
 
     lines = [
         f"trace report: {len(records)} spans, {len(by_name)} distinct names",
         "",
-        ascii_table(["span", "count", "total_s", "mean_s", "max_s"], span_rows),
+        ascii_table(["span", "count", "total_s", "self_s", "mean_s", "max_s"], span_rows),
     ]
 
     if attr_values:

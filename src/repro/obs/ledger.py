@@ -24,8 +24,8 @@ Query API highlights (each backing one ``repro obs`` CLI verb):
 :meth:`RunLedger.history` (per-benchmark time series across N runs),
 :meth:`RunLedger.bench_runs` (feeds :func:`repro.obs.trend.trend_runs`,
 the multi-run regression gate), and :meth:`RunLedger.span_records`
-(reconstructs a stored trace for span-tree rendering with memory
-attribution).
+(reconstructs a stored trace for :func:`repro.obs.export.render_tree`,
+the span tree with self-time and memory columns).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from pathlib import Path
 
 from repro.obs.environment import fingerprint_digest
 
-__all__ = ["LEDGER_SCHEMA_VERSION", "IngestResult", "RunLedger", "render_span_tree"]
+__all__ = ["LEDGER_SCHEMA_VERSION", "IngestResult", "RunLedger"]
 
 #: Bumped when the table layout changes; stored in ``ledger_meta``.
 LEDGER_SCHEMA_VERSION = 1
@@ -566,42 +566,3 @@ class RunLedger:
                 (row["run_key"],),
             )
         ]
-
-
-def render_span_tree(records, *, max_spans: int = 200, max_attr_width: int = 100) -> str:
-    """Indented span tree with explicit memory attribution columns.
-
-    Like :func:`repro.obs.export.render_tree` but surfaces per-span
-    ``memory.peak_bytes`` / ``memory.net_bytes`` as aligned MB columns
-    (the ledger stores them first-class), keeping other attributes
-    inline (elided at ``max_attr_width`` so the table stays readable —
-    the full values live in the ledger's ``spans`` table).
-    """
-    rows = []
-    shown = [r for r in records if "name" in r][:max_spans]
-    for record in shown:
-        attrs = dict(record.get("attributes") or {})
-        peak = attrs.pop("memory.peak_bytes", None)
-        net = attrs.pop("memory.net_bytes", None)
-        attr_text = ", ".join(f"{k}={v}" for k, v in attrs.items())
-        if len(attr_text) > max_attr_width:
-            attr_text = attr_text[: max_attr_width - 3] + "..."
-        duration = record.get("duration_s")
-        rows.append(
-            [
-                "  " * int(record.get("depth") or 0) + str(record.get("name")),
-                "-" if duration is None else f"{duration:.6f}",
-                "-" if peak is None else f"{peak / 1e6:.2f}",
-                "-" if net is None else f"{net / 1e6:+.2f}",
-                attr_text,
-            ]
-        )
-    if not rows:
-        return "empty trace (0 spans)"
-    from repro.experiments.report import ascii_table
-
-    out = ascii_table(["span", "duration_s", "peak MB", "net MB", "attributes"], rows)
-    total = sum(1 for r in records if "name" in r)
-    if total > len(shown):
-        out += f"\n... {total - len(shown)} more spans"
-    return out

@@ -1,4 +1,4 @@
-"""Counters, gauges, and histograms with an injectable registry.
+"""Counters, gauges, and log-bucket histograms with an injectable registry.
 
 The default registry is process-global (:func:`get_registry`) so library
 code can record without plumbing a registry argument through every call;
@@ -10,20 +10,23 @@ float update — so instrumented paths record unconditionally.
 
     registry = obs.get_registry()
     registry.counter("solves.hard").inc()
-    registry.histogram("solver.cg.iterations").observe(42)
+    registry.log_histogram("solver.cg.iterations").observe(42)
+
+Every distribution — solver iteration counts, system sizes, serving
+latencies — is a :class:`LogBucketHistogram`: bounded memory, quantiles
+within a fixed relative error, and an exact merge, so registries grafted
+back from worker processes (:meth:`MetricsRegistry.merge_state`) hold the
+same buckets a serial run records.
 """
 
 from __future__ import annotations
 
 import math
-import random
-import zlib
 from contextlib import contextmanager
 
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "LogBucketHistogram",
     "MetricsRegistry",
     "get_registry",
@@ -84,129 +87,10 @@ class Gauge:
             self.value = value
 
 
-class Histogram:
-    """Streaming distribution summary plus retained samples.
-
-    Tracks count/sum/min/max in O(1) per observation and retains up to
-    ``max_samples`` raw values (older samples are overwritten ring-buffer
-    style beyond that, keeping memory bounded in long-running processes)
-    so :meth:`quantile` can answer p50/p90-style questions.
-    """
-
-    __slots__ = ("name", "count", "total", "min", "max", "samples", "max_samples")
-
-    kind = "histogram"
-
-    def __init__(self, name: str, *, max_samples: int = 8192):
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-        self.max_samples = max_samples
-        self.samples: list[float] = []
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        if len(self.samples) < self.max_samples:
-            self.samples.append(value)
-        else:
-            self.samples[self.count % self.max_samples] = value
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else math.nan
-
-    def quantile(self, q: float) -> float:
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if not self.samples:
-            return math.nan
-        ordered = sorted(self.samples)
-        index = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-        return ordered[index]
-
-    def snapshot(self) -> dict:
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "min": self.min if self.count else math.nan,
-            "max": self.max if self.count else math.nan,
-            "mean": self.mean,
-            "p50": self.quantile(0.5),
-            "p90": self.quantile(0.9),
-            "p95": self.quantile(0.95),
-            "p99": self.quantile(0.99),
-        }
-
-    def to_state(self) -> dict:
-        return {
-            "kind": self.kind,
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-            "samples": list(self.samples),
-        }
-
-    def merge_state(self, state: dict) -> None:
-        """Fold another histogram's full state into this one.
-
-        count/sum/min/max merge exactly.  Retained samples are pooled
-        and, when the pool exceeds ``max_samples``, subsampled *weighted
-        by the observation count each retained sample stands for* —
-        a state whose buffer summarizes 10x the observations keeps 10x
-        the representation, so merged quantiles stay unbiased even when
-        the two sides are badly imbalanced.  The subsample is drawn with
-        a deterministic RNG seeded by the metric name, so merging the
-        same worker states always produces the same buffer.
-        """
-        count = int(state.get("count", 0))
-        if count == 0:
-            return
-        incoming = [float(value) for value in state.get("samples", ())]
-        own = len(self.samples)
-        # Per-sample observation weights, computed before the counters
-        # merge: each retained sample stands for count/len(samples)
-        # observations of its side.
-        own_weight = (self.count / own) if own else 0.0
-        incoming_weight = (count / len(incoming)) if incoming else 0.0
-        self.count += count
-        self.total += float(state.get("total", 0.0))
-        self.min = min(self.min, float(state.get("min", math.inf)))
-        self.max = max(self.max, float(state.get("max", -math.inf)))
-        pool = self.samples + incoming
-        if len(pool) <= self.max_samples:
-            self.samples = pool
-            return
-        # Weighted subsample without replacement (Efraimidis-Spirakis
-        # exponential keys), deterministic per metric name.
-        weights = [own_weight] * own + [incoming_weight] * len(incoming)
-        rng = random.Random(zlib.crc32(self.name.encode("utf-8")))
-        keyed = []
-        for position, weight in enumerate(weights):
-            u = rng.random()
-            key = u ** (1.0 / weight) if weight > 0 else -1.0
-            keyed.append((key, position))
-        keyed.sort(reverse=True)
-        keep = sorted(position for _, position in keyed[: self.max_samples])
-        self.samples = [pool[position] for position in keep]
-
-
 class LogBucketHistogram:
     """Log-bucketed distribution with relative-error-bounded quantiles.
 
-    The reservoir :class:`Histogram` keeps raw samples, which is right
-    for *value* metrics (RMSE, iteration counts) but wrong for
-    per-request latency: a long-lived server observes millions of
-    latencies, and subsampled quantiles drift.  This histogram instead
-    counts observations into geometric buckets — bucket ``i`` covers
+    Observations are counted into geometric buckets — bucket ``i`` covers
     ``(gamma^(i-1), gamma^i]`` with ``gamma = (1 + a) / (1 - a)`` for
     the configured relative accuracy ``a`` — so:
 
@@ -219,7 +103,7 @@ class LogBucketHistogram:
       exactly ``a``;
     * :meth:`merge_state` is *exact* — bucket counts add — so grafting
       worker registries (:meth:`MetricsRegistry.merge_state`) loses
-      nothing, unlike reservoir merging.
+      nothing: a parallel run holds the buckets a serial run records.
 
     Non-positive observations (a clock that went backwards, a zero-cost
     path) land in a dedicated zero bucket reported as ``0.0``.
@@ -475,7 +359,7 @@ class MetricsRegistry:
     """
 
     def __init__(self):
-        self._metrics: dict[str, Counter | Gauge | Histogram | LogBucketHistogram] = {}
+        self._metrics: dict[str, Counter | Gauge | LogBucketHistogram] = {}
 
     def _get_or_create(self, name: str, cls):
         metric = self._metrics.get(name)
@@ -494,9 +378,6 @@ class MetricsRegistry:
 
     def gauge(self, name: str) -> Gauge:
         return self._get_or_create(name, Gauge)
-
-    def histogram(self, name: str) -> Histogram:
-        return self._get_or_create(name, Histogram)
 
     def log_histogram(self, name: str) -> LogBucketHistogram:
         return self._get_or_create(name, LogBucketHistogram)
@@ -523,7 +404,7 @@ class MetricsRegistry:
         Unlike :meth:`snapshot` (a human-facing summary), the state dump
         round-trips through :meth:`merge_state`: counters keep their
         totals, gauges their last value, histograms their exact
-        count/sum/min/max plus retained samples.  This is how worker
+        count/sum/min/max and bucket counts.  This is how worker
         processes ship their metric deltas back to the parent registry.
         """
         return {name: metric.to_state() for name, metric in self._metrics.items()}
@@ -532,14 +413,12 @@ class MetricsRegistry:
         """Fold a :meth:`to_state` dump (e.g. from a worker) into this registry.
 
         Counters add, gauges take the incoming value (last write wins,
-        matching their single-process semantics), histograms merge their
-        summaries exactly and their retained samples up to the cap.
-        Merging a name that exists here under a different kind raises
-        ``TypeError``, same as mixed-kind access does.
+        matching their single-process semantics), histogram bucket counts
+        add.  Merging a name that exists here under a different kind
+        raises ``TypeError``, same as mixed-kind access does; an unknown
+        kind raises ``ValueError``.
         """
-        kinds = {
-            cls.kind: cls for cls in (Counter, Gauge, Histogram, LogBucketHistogram)
-        }
+        kinds = {cls.kind: cls for cls in (Counter, Gauge, LogBucketHistogram)}
         for name, metric_state in state.items():
             cls = kinds.get(metric_state.get("kind"))
             if cls is None:
@@ -547,21 +426,6 @@ class MetricsRegistry:
                     f"metric {name!r} has unknown kind {metric_state.get('kind')!r}"
                 )
             self._get_or_create(name, cls).merge_state(metric_state)
-
-    def as_rows(self) -> list[list]:
-        """``[name, kind, summary]`` rows for table rendering."""
-        rows = []
-        for name, data in self.snapshot().items():
-            kind = data.pop("kind")
-            summary = ", ".join(f"{k}={_fmt(v)}" for k, v in data.items())
-            rows.append([name, kind, summary])
-        return rows
-
-
-def _fmt(value: float) -> str:
-    if isinstance(value, float) and not value.is_integer():
-        return f"{value:.4g}"
-    return str(int(value)) if isinstance(value, float) and math.isfinite(value) else str(value)
 
 
 _DEFAULT = MetricsRegistry()

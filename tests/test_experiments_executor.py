@@ -32,11 +32,28 @@ def _draw_replicate(rng):
     return {"u": float(rng.random()), "v": float(rng.normal())}
 
 
+def _solver_replicate(rng):
+    """Replicate that fills the solver histograms from real solves."""
+    from repro.core.hard import solve_hard_criterion
+    from repro.core.propagation import propagate_labels
+    from repro.core.soft import solve_soft_criterion
+    from repro.datasets.synthetic import make_synthetic_dataset
+    from repro.graph.similarity import full_kernel_graph
+
+    n_labeled = int(rng.integers(10, 20))
+    data = make_synthetic_dataset(n_labeled, 25, seed=int(rng.integers(2**31)))
+    weights = full_kernel_graph(data.x_all, bandwidth=0.5).dense_weights()
+    hard = solve_hard_criterion(weights, data.y_labeled, method="cg")
+    solve_soft_criterion(weights, data.y_labeled, 0.1)
+    propagate_labels(weights, data.y_labeled)
+    return {"score": float(hard.scores[-1])}
+
+
 def _counting_replicate(rng):
     """Replicate that exercises worker-side spans and metrics."""
     registry = obs.get_registry()
     registry.counter("test.replicate_calls").inc()
-    registry.histogram("test.draws").observe(rng.random())
+    registry.log_histogram("test.draws").observe(rng.random())
     with obs.span("test.inner", kind="work") as span:
         value = float(rng.random())
         if span.recording:
@@ -190,9 +207,36 @@ class TestObservabilityAcrossProcesses:
             run_replicates(_counting_replicate, n_replicates=5, seed=2, n_jobs=2)
         assert registry.counter("test.replicate_calls").value == 5
         assert registry.counter("replicates.completed").value == 5
-        histogram = registry.histogram("test.draws")
+        histogram = registry.log_histogram("test.draws")
         assert histogram.count == 5
-        assert len(histogram.samples) == 5
+        assert sum(histogram.buckets.values()) + histogram.zero_count == 5
+
+    def test_solver_histograms_merge_exactly(self):
+        """Worker registries merge back bucket for bucket: a parallel
+        run's solver histograms equal the serial run's."""
+
+        def histograms(n_jobs):
+            with obs.use_registry() as registry:
+                run_replicates(_solver_replicate, n_replicates=4, seed=5, n_jobs=n_jobs)
+            state = registry.to_state()
+            return {
+                name: {
+                    key: entry[key]
+                    for key in ("count", "zero_count", "buckets", "min", "max")
+                }
+                for name, entry in state.items()
+                if entry["kind"] == "log_histogram"
+            }
+
+        serial = histograms(1)
+        assert {
+            "linalg.cg.iterations",
+            "propagation.hard.iterations",
+            "solves.hard.system_size",
+            "solves.soft.system_size",
+        } <= set(serial)
+        assert all(entry["count"] == 4 for entry in serial.values())
+        assert histograms(2) == serial
 
     def test_no_spans_recorded_when_tracing_disabled(self):
         with obs.use_registry():
@@ -208,17 +252,18 @@ class TestRegistryStateMerge:
         source.counter("c").inc(3)
         source.gauge("g").set(1.5)
         for value in (1.0, 2.0, 3.0):
-            source.histogram("h").observe(value)
+            source.log_histogram("h").observe(value)
 
         target = obs.MetricsRegistry()
         target.counter("c").inc(1)
         target.merge_state(source.to_state())
         assert target.counter("c").value == 4
         assert target.gauge("g").value == 1.5
-        merged = target.histogram("h")
+        merged = target.log_histogram("h")
         assert merged.count == 3
         assert merged.total == 6.0
         assert merged.min == 1.0 and merged.max == 3.0
+        assert merged.buckets == source.log_histogram("h").buckets
 
     def test_kind_conflict_raises(self):
         source = obs.MetricsRegistry()
@@ -232,6 +277,9 @@ class TestRegistryStateMerge:
         target = obs.MetricsRegistry()
         with pytest.raises(ValueError, match="unknown kind"):
             target.merge_state({"x": {"kind": "mystery", "value": 1}})
+        # the retired reservoir kind is unknown too
+        with pytest.raises(ValueError, match="unknown kind 'histogram'"):
+            target.merge_state({"x": {"kind": "histogram", "count": 1}})
 
 
 class TestAdoptRecords:

@@ -4,8 +4,9 @@ Covers the cache machinery (hits/misses/evictions), the ``auto``
 choice between the Woodbury continuation and multigrid (and the
 Woodbury path's exact fallback), the one list of sweep backends,
 invalidation on graph mutation
-(including a hypothesis property test: a mutated workspace must raise or
-recompute, never serve stale answers), and the ``x0`` threading through
+(including a hypothesis property test: a mutated workspace must raise,
+and recompute once invalidated, never serve stale answers), and the
+``x0`` threading through
 ``solve_spd``.  Numerical parity against direct solves lives in
 ``tests/test_workspace_parity.py``.
 """
@@ -91,8 +92,6 @@ class TestFactorizationCache:
         _, graph = problem
         with pytest.raises(ConfigurationError):
             SolveWorkspace(graph.weights, backend="nope")
-        with pytest.raises(ConfigurationError):
-            SolveWorkspace(graph.weights, on_mutation="panic")
 
 
 class TestContinuation:
@@ -254,12 +253,16 @@ class TestInvalidation:
             ws.solve_hard(data.y_labeled)
 
     def test_recompute_mode_reflects_mutation(self, problem):
+        """A mutation raises; invalidate() then recomputes for the new graph."""
         data, graph = problem
         weights = graph.weights.copy()
-        ws = SolveWorkspace(weights, backend="exact", on_mutation="recompute")
+        ws = SolveWorkspace(weights, backend="exact")
         ws.solve_soft(data.y_labeled, 0.1)
         ws.weights[0, 1] += 0.25
         ws.weights[1, 0] += 0.25
+        with pytest.raises(WorkspaceInvalidatedError, match="invalidate"):
+            ws.solve_soft(data.y_labeled, 0.1)
+        ws.invalidate()
         fit = ws.solve_soft(data.y_labeled, 0.1)
         reference = solve_soft_criterion(
             ws.weights, data.y_labeled, 0.1, check_reachability=False
@@ -281,33 +284,31 @@ class TestInvalidation:
             st.integers(min_value=0, max_value=89),
         ),
         bump=st.floats(min_value=1e-6, max_value=10.0),
-        mode=st.sampled_from(["raise", "recompute"]),
     )
-    def test_never_serves_stale_factorization(self, entry, bump, mode):
-        """Property: after ANY symmetric weight bump, a workspace either
-        raises or returns the answer for the mutated graph — never the
-        cached answer for the old one.  Diagonal bumps are excluded: they
-        shift the degree by the same amount, leaving ``L = D - W`` (and
-        hence the solution) unchanged."""
+    def test_never_serves_stale_factorization(self, entry, bump):
+        """Property: after ANY symmetric weight bump, a workspace raises,
+        and once invalidated returns the answer for the mutated graph —
+        never the cached answer for the old one.  Diagonal bumps are
+        excluded: they shift the degree by the same amount, leaving
+        ``L = D - W`` (and hence the solution) unchanged."""
         assume(entry[0] != entry[1])
         data = make_synthetic_dataset(60, 30, seed=3)
         bandwidth = paper_bandwidth_rule(60, 5)
         weights = full_kernel_graph(data.x_all, bandwidth=bandwidth).weights.copy()
-        ws = SolveWorkspace(weights, backend="exact", on_mutation=mode)
+        ws = SolveWorkspace(weights, backend="exact")
         stale = ws.solve_soft(data.y_labeled, 0.1)
         i, j = entry
         ws.weights[i, j] += bump
         ws.weights[j, i] = ws.weights[i, j]
-        if mode == "raise":
-            with pytest.raises(WorkspaceInvalidatedError):
-                ws.solve_soft(data.y_labeled, 0.1)
-        else:
-            fresh = ws.solve_soft(data.y_labeled, 0.1)
-            reference = solve_soft_criterion(
-                ws.weights, data.y_labeled, 0.1, check_reachability=False
-            )
-            np.testing.assert_allclose(fresh.scores, reference.scores, atol=1e-8)
-            assert not np.array_equal(fresh.scores, stale.scores)
+        with pytest.raises(WorkspaceInvalidatedError):
+            ws.solve_soft(data.y_labeled, 0.1)
+        ws.invalidate()
+        fresh = ws.solve_soft(data.y_labeled, 0.1)
+        reference = solve_soft_criterion(
+            ws.weights, data.y_labeled, 0.1, check_reachability=False
+        )
+        np.testing.assert_allclose(fresh.scores, reference.scores, atol=1e-8)
+        assert not np.array_equal(fresh.scores, stale.scores)
 
 
 class TestCoreDelegation:

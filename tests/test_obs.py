@@ -26,6 +26,7 @@ from repro.obs.export import (
     load_jsonl,
     render_trace_report,
     render_tree,
+    self_times,
     write_jsonl,
 )
 from repro.obs.probes import condition_estimate, graph_stats
@@ -105,7 +106,7 @@ class TestMetrics:
         registry.counter("events").inc(2)
         registry.gauge("size").set(42)
         for value in (1.0, 2.0, 3.0, 4.0):
-            registry.histogram("latency").observe(value)
+            registry.log_histogram("latency").observe(value)
         snap = registry.snapshot()
         assert snap["events"]["value"] == 3.0
         assert snap["size"]["value"] == 42.0
@@ -113,6 +114,37 @@ class TestMetrics:
         assert snap["latency"]["mean"] == pytest.approx(2.5)
         assert snap["latency"]["min"] == 1.0
         assert snap["latency"]["max"] == 4.0
+        assert snap["latency"]["kind"] == "log_histogram"
+        assert sum(snap["latency"]["buckets"].values()) == 4
+        assert snap["latency"]["p50"] == pytest.approx(2.0, rel=0.05)
+
+    def test_instrumented_solves_record_only_three_kinds(self, problem):
+        """Every solver series is a log-bucket histogram, so a registry
+        filled by real solves holds nothing the exact merge and the
+        OpenMetrics exporter do not know."""
+        from repro.core.propagation import propagate_labels, propagate_soft
+        from repro.linalg.workspace import SolveWorkspace
+
+        data, weights = problem
+        with obs.use_registry() as registry:
+            solve_hard_criterion(weights, data.y_labeled)
+            solve_hard_criterion(weights, data.y_labeled, method="cg")
+            solve_soft_criterion(weights, data.y_labeled, 0.1)
+            solve_soft_criterion(weights, data.y_labeled, 0.1, method="full")
+            propagate_labels(weights, data.y_labeled)
+            propagate_soft(weights, data.y_labeled, 0.1)
+            SolveWorkspace(weights, backend="multigrid").solve_soft(data.y_labeled, 0.1)
+        kinds = {name: entry["kind"] for name, entry in registry.snapshot().items()}
+        for name in (
+            "solves.hard.system_size",
+            "solves.soft.system_size",
+            "linalg.cg.iterations",
+            "propagation.hard.iterations",
+            "propagation.soft.iterations",
+            "workspace.pcg.iterations",
+        ):
+            assert kinds[name] == "log_histogram", name
+        assert set(kinds.values()) <= {"counter", "gauge", "log_histogram"}
 
     def test_counter_rejects_decrease(self):
         with pytest.raises(ValueError):
@@ -123,77 +155,6 @@ class TestMetrics:
         registry.counter("x")
         with pytest.raises(TypeError):
             registry.gauge("x")
-
-    def test_histogram_sample_cap_keeps_exact_aggregates(self):
-        from repro.obs.metrics import Histogram
-
-        hist = Histogram("h", max_samples=10)
-        for value in range(100):
-            hist.observe(float(value))
-        assert hist.count == 100
-        assert len(hist.samples) == 10
-        assert hist.min == 0.0 and hist.max == 99.0
-        assert hist.mean == pytest.approx(49.5)
-
-    def test_merge_state_respects_sample_cap(self):
-        """Regression: merging two near-full histograms used to let the
-        sample buffer grow unboundedly past ``max_samples``."""
-        from repro.obs.metrics import Histogram
-
-        left = Histogram("h", max_samples=100)
-        right = Histogram("h", max_samples=100)
-        for value in range(90):
-            left.observe(float(value))
-        for value in range(90):
-            right.observe(float(1000 + value))
-        left.merge_state(right.to_state())
-        assert left.count == 180
-        assert len(left.samples) == 100
-        assert left.min == 0.0 and left.max == 1089.0
-        assert left.total == pytest.approx(sum(range(90)) + sum(range(1000, 1090)))
-
-    def test_merge_subsample_is_deterministic_and_balanced(self):
-        """The capped subsample is seeded by metric name (reproducible)
-        and weighted, so an imbalanced merge keeps both sides roughly in
-        proportion instead of drowning the small side."""
-        from repro.obs.metrics import Histogram
-
-        def merged():
-            left = Histogram("imbalanced", max_samples=200)
-            right = Histogram("imbalanced", max_samples=200)
-            for value in range(190):
-                left.observe(0.0)
-            for value in range(19_000):
-                right.observe(1.0)
-            left.merge_state(right.to_state())
-            return left
-
-        first, second = merged(), merged()
-        assert first.samples == second.samples  # deterministic
-        assert len(first.samples) == 200
-        small_side = first.samples.count(0.0)
-        # left holds 1% of the mass (190 of 19190); its representation
-        # in the capped buffer must be of that order, not 50% (the old
-        # truncate-left bug) nor 0%
-        assert 0 < small_side < 30
-
-    def test_merge_preserves_quantiles_approximately(self):
-        from repro.obs.metrics import Histogram
-
-        rng = np.random.default_rng(0)
-        left = Histogram("q", max_samples=500)
-        right = Histogram("q", max_samples=500)
-        a = rng.exponential(size=450)
-        b = rng.exponential(size=450)
-        for value in a:
-            left.observe(float(value))
-        for value in b:
-            right.observe(float(value))
-        left.merge_state(right.to_state())
-        pooled = np.concatenate([a, b])
-        assert left.snapshot()["p50"] == pytest.approx(
-            float(np.quantile(pooled, 0.5)), rel=0.25
-        )
 
     def test_use_registry_isolates_tests(self):
         default = obs.get_registry()
@@ -251,9 +212,28 @@ class TestExporters:
         report = render_trace_report(tracer)
         assert "parent" in report and "child" in report
         assert "span" in report and "mean_s" in report
-        tree = render_tree(tracer)
-        assert tree.splitlines()[0].startswith("parent")
-        assert tree.splitlines()[1].startswith("  child")
+        assert "self_s" in report
+        tree = render_tree(tracer).splitlines()
+        assert tree[0].split() == ["span", "duration_s", "self_s", "attributes"]
+        assert tree[2].startswith("parent")
+        assert tree[3].startswith("  child")
+
+    def test_self_time_is_duration_minus_direct_children(self):
+        records = [
+            {"span_id": 1, "parent_id": None, "depth": 0, "name": "parent", "duration_s": 1.0},
+            {"span_id": 2, "parent_id": 1, "depth": 1, "name": "child", "duration_s": 0.25},
+            {"span_id": 3, "parent_id": 2, "depth": 2, "name": "leaf", "duration_s": 0.125},
+            {"span_id": 4, "parent_id": 1, "depth": 1, "name": "child", "duration_s": 0.5},
+        ]
+        own = self_times(records)
+        # the grandchild counts against its parent only, not the root
+        assert own == {1: 0.25, 2: 0.125, 3: 0.125, 4: 0.5}
+        rows = {line.split()[0]: line.split() for line in render_tree(records).splitlines()[2:]}
+        assert rows["parent"][1:3] == ["1.000000", "0.250000"]
+        report = render_trace_report(records)
+        child_row = next(line.split() for line in report.splitlines() if line.split()[:1] == ["child"])
+        # span, count, total_s, self_s, mean_s, max_s
+        assert child_row[1:4] == ["2", "0.750000", "0.625000"]
 
     def test_render_report_empty(self):
         assert "empty trace" in render_trace_report([])
@@ -586,7 +566,7 @@ class TestNoopOverheadGuard:
                 probes.record_solve_info(span, info)
                 registry = obs.get_registry()
                 registry.counter("solves.hard").inc()
-                registry.histogram("solves.hard.system_size").observe(20)
+                registry.log_histogram("solves.hard.system_size").observe(20)
 
         per_call = best_of(telemetry_sequence, repeats=2000)
         assert per_call < 0.05 * per_solve, (

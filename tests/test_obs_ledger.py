@@ -6,7 +6,8 @@ import pytest
 
 from repro.cli import main
 from repro.obs.bench import BenchRecord, BenchRecorder
-from repro.obs.ledger import RunLedger, render_span_tree
+from repro.obs.export import render_tree
+from repro.obs.ledger import RunLedger
 from repro.obs.progress import ProgressEmitter
 from repro.obs.trend import history_series, render_trend_report, trend_runs
 
@@ -103,8 +104,9 @@ class TestIngestion:
         names = [r["name"] for r in records]
         assert names == ["outer", "inner"]
         assert "memory.peak_bytes" in records[0]["attributes"]
-        tree = render_span_tree(records)
-        assert "outer" in tree and "peak MB" in tree
+        tree = render_tree(records)
+        assert "outer" in tree and "peak MB" in tree and "self_s" in tree
+        assert "memory.peak_bytes" not in tree
 
     def test_metrics_dump_ingested(self, tmp_path):
         from repro import obs

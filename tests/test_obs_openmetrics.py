@@ -39,7 +39,7 @@ def golden_registry() -> MetricsRegistry:
     reg.counter("serving.drift.flagged").inc(2)
     reg.gauge("serving.request.throughput_qps").set(1234.5)
     reg.gauge("serving.drift.nystrom_margin_min").set(-0.25)
-    hist = reg.histogram("solve.residual")
+    hist = reg.log_histogram("solve.residual")
     for value in (0.25, 0.5, 0.75, 1.0):
         hist.observe(value)
     reg.log_histogram("serving.request.latency_s").observe_many(
@@ -95,18 +95,6 @@ class TestParseBackRoundTrip:
             if s.name == "serving_request_latency_s_count"
         )
         assert buckets[-1].value == count == 5
-
-    def test_summary_quantiles(self):
-        families = parse_openmetrics(render_openmetrics(golden_registry().snapshot()))
-        family = families["solve_residual"]
-        assert family.type == "summary"
-        quantiles = {
-            s.labels["quantile"]: s.value
-            for s in family.samples
-            if "quantile" in s.labels
-        }
-        assert set(quantiles) == {"0.5", "0.9", "0.95", "0.99"}
-        assert quantiles["0.5"] <= quantiles["0.99"]
 
 
 class TestNameAndLabelHandling:
@@ -209,6 +197,23 @@ class TestCliExportAndLint:
         assert main(["obs", "export-metrics", str(dump)]) == 0
         out = capsys.readouterr().out
         assert "# TYPE serving_request_latency_s histogram" in out
+
+    def test_export_rejects_retired_histogram_kind(self, tmp_path, capsys):
+        import json
+
+        from repro.cli import main
+
+        dump = tmp_path / "old.json"
+        dump.write_text(
+            json.dumps(
+                {
+                    "schema": "repro.metrics/v1",
+                    "metrics": {"solve.residual": {"kind": "histogram", "count": 1}},
+                }
+            )
+        )
+        assert main(["obs", "export-metrics", str(dump)]) == 2
+        assert "unknown kind 'histogram'" in capsys.readouterr().err
 
     def test_lint_rejects_invalid_file(self, tmp_path, capsys):
         from repro.cli import main
